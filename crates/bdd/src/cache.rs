@@ -370,15 +370,24 @@ impl DirectCache {
 
 /// The manager's operation caches, one direct-mapped array per shape:
 /// the binary connectives and quantifiers keyed by `(op, f, g)`, and the
-/// two ternary operations. There is no negation cache — with complement
+/// three ternary operations. There is no negation cache — with complement
 /// edges `not` is a tag flip and never probes anything. Keys are raw
 /// tagged handles *after* the operations' complement normalization
 /// (operand ordering, tag stripping where the op commutes with `¬`), so
 /// one cache line serves a whole ¬-symmetry class of queries.
+///
+/// The fused firing image ([`crate::BddManager::substitute_cube`]) is the
+/// traversal engines' hot ternary operation and gets a full-size table.
+/// The relational product `and_exists` serves the CSC code regions,
+/// whose products over the reached set run as fast with 1 Ki entries as
+/// with 32 Ki on the Table 1 nets: its small table keeps every
+/// verification that reaches it — each request of the per-transition
+/// engine — from allocating and filling another megabyte.
 pub(crate) struct OpCaches {
     bin: PackedCache,
     ite: DirectCache,
     and_exists: DirectCache,
+    substitute: DirectCache,
 }
 
 impl Default for OpCaches {
@@ -386,7 +395,8 @@ impl Default for OpCaches {
         OpCaches {
             bin: PackedCache::new(),
             ite: DirectCache::new(14),
-            and_exists: DirectCache::new(15),
+            and_exists: DirectCache::new(10),
+            substitute: DirectCache::new(15),
         }
     }
 }
@@ -446,6 +456,21 @@ impl OpCaches {
         self.and_exists.insert_mut(f.0, g.0, c.0, r);
     }
 
+    #[inline]
+    pub(crate) fn substitute_get(&self, f: Bdd, before: Bdd, after: Bdd) -> Option<Bdd> {
+        self.substitute.get(f.0, before.0, after.0)
+    }
+
+    #[inline]
+    pub(crate) fn substitute_insert(&self, f: Bdd, before: Bdd, after: Bdd, r: Bdd) {
+        self.substitute.insert(f.0, before.0, after.0, r);
+    }
+
+    #[inline]
+    pub(crate) fn substitute_insert_mut(&mut self, f: Bdd, before: Bdd, after: Bdd, r: Bdd) {
+        self.substitute.insert_mut(f.0, before.0, after.0, r);
+    }
+
     /// Forgets every entry. Must run whenever node slots may be recycled
     /// (GC, sifting's dead-node reclamation, rebuild) — all of which
     /// take `&mut BddManager`, i.e. happen at a quiesce point with no
@@ -454,6 +479,7 @@ impl OpCaches {
         self.bin.clear();
         self.ite.clear();
         self.and_exists.clear();
+        self.substitute.clear();
     }
 }
 

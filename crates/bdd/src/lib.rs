@@ -26,7 +26,8 @@
 //! * *cube cofactors* and existential/universal abstraction — the exact
 //!   primitives from which the paper assembles the Petri-net transition
 //!   function (Section 4), plus the fused relational product
-//!   [`BddManager::and_exists`];
+//!   [`BddManager::and_exists`] and the one-pass firing image
+//!   [`BddManager::substitute_cube`];
 //! * satisfying-assignment counting and enumeration (the "# of states"
 //!   column of Table 1);
 //! * variable-ordering support: any static order at creation time, a

@@ -446,17 +446,46 @@ impl BddManager {
         acc
     }
 
-    /// Tests whether `f ∧ g` is satisfiable without necessarily building the
-    /// full conjunction (set-intersection emptiness test).
+    /// Tests whether `f ∧ g` is satisfiable (set-intersection emptiness
+    /// test) without building the conjunction: an early-exit recursion
+    /// that allocates no node and stops at the first common path
+    /// (CUDD's `Cudd_bddLeq` idea). A disjoint pair is recorded as the
+    /// `and`-cache entry `f ∧ g = 0`, so a later `and` of the same pair —
+    /// or a repeated test — answers from the cache; an intersecting pair
+    /// records nothing (the conjunction was never built).
     pub fn intersects(&self, f: Bdd, g: Bdd) -> bool {
-        // The conjunction is memoised anyway; building it is the simplest
-        // correct implementation and the caches keep it cheap.
-        !self.and(f, g).is_false()
+        if f.is_false() || g.is_false() || f == g.complement() {
+            return false;
+        }
+        if f.is_true() || g.is_true() || f == g {
+            return true;
+        }
+        let (a, b) = (f.min(g), f.max(g));
+        if let Some(r) = self.caches.bin_get(BinOp::And, a, b) {
+            return !r.is_false();
+        }
+        // Inert like `and`, whose answer this must match.
+        if self.inert() {
+            return false;
+        }
+        let (lf, fe0, fe1) = self.peek(f);
+        let (lg, ge0, ge1) = self.peek(g);
+        let top = lf.min(lg);
+        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
+        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
+        if self.intersects(f0, g0) || self.intersects(f1, g1) {
+            return true;
+        }
+        if !self.inert() {
+            self.caches.bin_insert(BinOp::And, a, b, Bdd::FALSE);
+        }
+        false
     }
 
-    /// Tests language inclusion `f ⊆ g` (i.e. `f → g` is a tautology).
+    /// Tests language inclusion `f ⊆ g` (i.e. `f → g` is a tautology),
+    /// as the allocation-free emptiness test `¬intersects(f, ¬g)`.
     pub fn is_subset(&self, f: Bdd, g: Bdd) -> bool {
-        self.diff(f, g).is_false()
+        !self.intersects(f, g.complement())
     }
 }
 

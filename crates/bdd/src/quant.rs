@@ -4,7 +4,8 @@
 //! *cube cofactors* (`f_c`: restrict `f` by the literals of a cube `c` and
 //! drop those variables) and products. Reachability additionally needs
 //! existential abstraction `∃x.f` and the fused relational product
-//! [`BddManager::and_exists`].
+//! [`BddManager::and_exists`]; the fused engines fire a transition with
+//! the one-pass cube substitution [`BddManager::substitute_cube`].
 //!
 //! Complement edges shape this module twice over: the cube cofactor
 //! commutes with negation (`(¬f)_c = ¬(f_c)`), so its cache is keyed on
@@ -305,62 +306,93 @@ impl BddManager {
         r
     }
 
-    /// Level-bounded fused relational product: `∃ vars(c) . (f ∧ g)`
-    /// under the precondition that `g` and `c` touch only variables at
-    /// level `bound` or deeper (level numbers grow towards the
-    /// terminals, so "at or below `bound`" in the diagram).
+    /// Cube substitution `(f|before) ∧ after`: restricts `f` by the
+    /// literals of `before` and re-imposes those of `after` in one
+    /// memoised pass — a transition firing's image in the paper's
+    /// Section 4 algebra (`before` selects the enabled states, `after`
+    /// states what holds once the transition fired).
     ///
-    /// Above the bound the product cannot branch `g` or quantify
-    /// anything, so the recursion keeps `f`'s shape and descends it
-    /// structurally without re-peeking `g` and `c` at every node — the
-    /// fast path the saturation engine leans on: a transition cluster
-    /// whose home level is `bound` only ever rewrites the part of the
-    /// state set below its home level. The result is *exactly*
-    /// [`BddManager::and_exists`]`(f, g, c)` (the bounded and unbounded
-    /// recursions share one memo table), which
-    /// `crates/bdd/tests/props.rs` pins as a property.
+    /// `before` and `after` must be cubes over the *same* variables.
+    /// Then `∃ vars(before) . (f ∧ before)` is exactly the cofactor
+    /// `f|before`, and the result equals
+    /// `and(and_exists(f, before, vars(before)), after)` without building
+    /// the intermediate product: above the cubes' top variable the
+    /// recursion keeps `f`'s shape, and at each cube variable it follows
+    /// `before`'s branch of `f` and emits `after`'s literal as a single
+    /// node.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stgcheck_bdd::{BddManager, Literal};
+    /// let mut m = BddManager::new();
+    /// let x = m.new_var("x");
+    /// let y = m.new_var("y");
+    /// let (vx, vy) = (m.var(x), m.var(y));
+    /// let f = m.and(vx, vy);
+    /// let before = m.cube(&[Literal::positive(x)]);
+    /// let after = m.cube(&[Literal::negative(x)]);
+    /// // Firing x− (x = 1 before, x = 0 after) from x∧y lands in ¬x∧y.
+    /// let nx = m.nvar(x);
+    /// assert_eq!(m.substitute_cube(f, before, after), m.and(nx, vy));
+    /// ```
     ///
     /// # Panics
     ///
-    /// Panics in debug builds when `c` is not a cube or when `g`/`c`
-    /// reach above the bound.
-    pub fn and_exists_below(&self, f: Bdd, g: Bdd, c: Bdd, bound: usize) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        debug_assert!(
-            self.support(g)
-                .iter()
-                .chain(self.support(c).iter())
-                .all(|&v| self.level_of(v) >= bound),
-            "and_exists_below: operand support reaches above the bound"
-        );
-        self.and_exists_below_rec(f, g, c, bound as crate::node::Level)
+    /// Panics in debug builds when `before` and `after` are not cubes
+    /// over one variable set.
+    pub fn substitute_cube(&self, f: Bdd, before: Bdd, after: Bdd) -> Bdd {
+        debug_assert!(self.inert() || self.same_cube_support(before, after));
+        self.substitute_rec(f, before, after)
     }
 
-    fn and_exists_below_rec(&self, f: Bdd, g: Bdd, c: Bdd, bound: crate::node::Level) -> Bdd {
-        if self.level(f) >= bound {
-            // At (or past) the bound the operands may interact: fall
-            // back to the general fused recursion. Terminals land here
-            // too (their level is below every variable).
-            return self.and_exists_rec(f, g, c);
+    /// `true` when `before` and `after` are cubes over one variable set.
+    fn same_cube_support(&self, before: Bdd, after: Bdd) -> bool {
+        self.is_cube(before) && self.is_cube(after) && self.support(before) == self.support(after)
+    }
+
+    fn substitute_rec(&self, f: Bdd, before: Bdd, after: Bdd) -> Bdd {
+        if f.is_false() || before.is_true() {
+            return f;
         }
-        // f's root lies strictly above the bound, where g is constant
-        // along every path and c quantifies nothing: the product keeps
-        // f's branching structure.
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.and_exists_get(a, b, c) {
+        if f.is_true() {
+            return after;
+        }
+        if let Some(r) = self.caches.substitute_get(f, before, after) {
             return r;
         }
         if self.inert() {
             return Bdd::FALSE;
         }
         let (fl, f0, f1) = self.peek(f);
-        let lo = self.and_exists_below_rec(f0, g, c, bound);
-        let hi = self.and_exists_below_rec(f1, g, c, bound);
-        let r = self.mk(fl, lo, hi);
+        let (cl, b0, b1) = self.peek(before);
+        let r = if fl < cl {
+            // Above the cubes: keep f's branching structure.
+            let lo = self.substitute_rec(f0, before, after);
+            let hi = self.substitute_rec(f1, before, after);
+            self.mk(fl, lo, hi)
+        } else {
+            // `before`'s top literal picks f's branch (f itself when f
+            // skips the variable); `after`'s literal is re-imposed.
+            let (_, a0, a1) = self.peek(after);
+            let (branch, btail) = match (b0.is_false(), fl == cl) {
+                (true, true) => (f1, b1),
+                (false, true) => (f0, b0),
+                (true, false) => (f, b1),
+                (false, false) => (f, b0),
+            };
+            if a0.is_false() {
+                let sub = self.substitute_rec(branch, btail, a1);
+                self.mk(cl, Bdd::FALSE, sub)
+            } else {
+                let sub = self.substitute_rec(branch, btail, a0);
+                self.mk(cl, sub, Bdd::FALSE)
+            }
+        };
         if self.inert() {
             return Bdd::FALSE;
         }
-        self.caches.and_exists_insert(a, b, c, r);
+        self.caches.substitute_insert(f, before, after, r);
         r
     }
 
@@ -526,81 +558,54 @@ impl BddManager {
         r
     }
 
-    /// Exclusive-mode [`BddManager::and_exists_below`] — same bounded
-    /// recursion, same shared memo table as the unbounded product.
-    pub fn and_exists_below_x(&mut self, f: Bdd, g: Bdd, c: Bdd, bound: usize) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        debug_assert!(
-            self.support(g)
-                .iter()
-                .chain(self.support(c).iter())
-                .all(|&v| self.level_of(v) >= bound),
-            "and_exists_below: operand support reaches above the bound"
-        );
-        self.and_exists_below_rec_x(f, g, c, bound as crate::node::Level)
+    /// Exclusive-mode [`BddManager::substitute_cube`] — same recursion,
+    /// results and memo keys (see [`BddManager::and_x`] for the mode
+    /// contract).
+    pub fn substitute_cube_x(&mut self, f: Bdd, before: Bdd, after: Bdd) -> Bdd {
+        debug_assert!(self.inert() || self.same_cube_support(before, after));
+        self.substitute_rec_x(f, before, after)
     }
 
-    fn and_exists_below_rec_x(&mut self, f: Bdd, g: Bdd, c: Bdd, bound: crate::node::Level) -> Bdd {
-        if self.level(f) >= bound {
-            return self.and_exists_rec_x(f, g, c);
+    fn substitute_rec_x(&mut self, f: Bdd, before: Bdd, after: Bdd) -> Bdd {
+        if f.is_false() || before.is_true() {
+            return f;
         }
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.and_exists_get(a, b, c) {
+        if f.is_true() {
+            return after;
+        }
+        if let Some(r) = self.caches.substitute_get(f, before, after) {
             return r;
         }
         if self.inert() {
             return Bdd::FALSE;
         }
         let (fl, f0, f1) = self.peek(f);
-        let lo = self.and_exists_below_rec_x(f0, g, c, bound);
-        let hi = self.and_exists_below_rec_x(f1, g, c, bound);
-        let r = self.mk_x(fl, lo, hi);
+        let (cl, b0, b1) = self.peek(before);
+        let r = if fl < cl {
+            let lo = self.substitute_rec_x(f0, before, after);
+            let hi = self.substitute_rec_x(f1, before, after);
+            self.mk_x(fl, lo, hi)
+        } else {
+            let (_, a0, a1) = self.peek(after);
+            let (branch, btail) = match (b0.is_false(), fl == cl) {
+                (true, true) => (f1, b1),
+                (false, true) => (f0, b0),
+                (true, false) => (f, b1),
+                (false, false) => (f, b0),
+            };
+            if a0.is_false() {
+                let sub = self.substitute_rec_x(branch, btail, a1);
+                self.mk_x(cl, Bdd::FALSE, sub)
+            } else {
+                let sub = self.substitute_rec_x(branch, btail, a0);
+                self.mk_x(cl, sub, Bdd::FALSE)
+            }
+        };
         if self.inert() {
             return Bdd::FALSE;
         }
-        self.caches.and_exists_insert_mut(a, b, c, r);
+        self.caches.substitute_insert_mut(f, before, after, r);
         r
-    }
-
-    /// Exclusive-mode [`BddManager::and_exists_many`].
-    pub fn and_exists_many_x(&mut self, fs: &[Bdd], c: Bdd) -> Bdd {
-        match fs {
-            [] => Bdd::TRUE,
-            [f] => self.exists_x(*f, c),
-            [init @ .., last] => {
-                let mut acc = init[0];
-                for &f in &init[1..] {
-                    acc = self.and_x(acc, f);
-                    if acc.is_false() {
-                        return Bdd::FALSE;
-                    }
-                }
-                self.and_exists_x(acc, *last, c)
-            }
-        }
-    }
-
-    /// N-ary generalisation of [`BddManager::and_exists`]:
-    /// `∃ vars(c) . (f₀ ∧ f₁ ∧ … ∧ fₙ)`.
-    ///
-    /// The first `n − 1` conjuncts are combined pairwise; the final
-    /// product is fused with the quantification so the full conjunction is
-    /// never materialised. An empty slice yields `∃c.TRUE = TRUE`.
-    pub fn and_exists_many(&self, fs: &[Bdd], c: Bdd) -> Bdd {
-        match fs {
-            [] => Bdd::TRUE,
-            [f] => self.exists(*f, c),
-            [init @ .., last] => {
-                let mut acc = init[0];
-                for &f in &init[1..] {
-                    acc = self.and(acc, f);
-                    if acc.is_false() {
-                        return Bdd::FALSE;
-                    }
-                }
-                self.and_exists(acc, *last, c)
-            }
-        }
     }
 }
 
@@ -792,16 +797,58 @@ mod tests {
         assert_eq!(m.and_exists_x(f, g, c), shared_ae);
         let excl_cof = m.cofactor_cube_x(f, c);
         assert_eq!(m.cofactor_cube(f, c), excl_cof);
-        // The bounded product agrees with the unbounded one in both
-        // modes (g/c sit at level 2 and deeper).
-        let deep_c = m.vars_cube(&[vars[5]]);
-        let bound = 2;
-        let shared_below = m.and_exists_below(f, t2, deep_c, bound);
-        assert_eq!(m.and_exists_below_x(f, t2, deep_c, bound), shared_below);
-        let many = [f, g, t2];
-        let shared_many = m.and_exists_many(&many, c);
-        assert_eq!(m.and_exists_many_x(&many, c), shared_many);
         m.check_invariants();
+    }
+
+    /// The cube substitution of either mode returns the same handle and
+    /// leaves the same arena behind, whichever mode runs first: two
+    /// identically built managers, one starting shared and one starting
+    /// exclusive, must agree handle for handle.
+    #[test]
+    fn exclusive_cube_substitution_agrees_whichever_mode_runs_first() {
+        let build = || {
+            let mut m = BddManager::new();
+            let vars: Vec<Var> = (0..8).map(|i| m.new_var(format!("x{i}"))).collect();
+            let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
+            let t0 = m.and(lits[0], lits[3]);
+            let t1 = m.xor(lits[1], lits[5]);
+            let t2 = m.or(t0, t1);
+            let f = m.xor(t2, lits[6]);
+            let before = m.cube(&[
+                Literal::positive(vars[1]),
+                Literal::negative(vars[3]),
+                Literal::positive(vars[5]),
+            ]);
+            let after = m.cube(&[
+                Literal::negative(vars[1]),
+                Literal::positive(vars[3]),
+                Literal::positive(vars[5]),
+            ]);
+            (m, f, before, after)
+        };
+        let (mut shared_first, f, before, after) = build();
+        let (mut exclusive_first, ..) = build();
+        let mut results = Vec::new();
+        for g in [f, f.complement()] {
+            let a = shared_first.substitute_cube(g, before, after);
+            let b = exclusive_first.substitute_cube_x(g, before, after);
+            assert_eq!(a, b, "first call differs between modes");
+            assert_eq!(shared_first.live_nodes(), exclusive_first.live_nodes());
+            // The second mode on each manager hits the first one's memo.
+            assert_eq!(shared_first.substitute_cube_x(g, before, after), a);
+            assert_eq!(exclusive_first.substitute_cube(g, before, after), a);
+            assert_eq!(shared_first.live_nodes(), exclusive_first.live_nodes());
+            results.push(a);
+        }
+        // And both equal the unfused image `(∃c. g ∧ before) ∧ after`.
+        let m = &shared_first;
+        let c = m.vars_cube(&m.support(before));
+        for (g, r) in [f, f.complement()].into_iter().zip(results) {
+            let moved = m.and_exists(g, before, c);
+            assert_eq!(m.and(moved, after), r);
+        }
+        shared_first.check_invariants();
+        exclusive_first.check_invariants();
     }
 
     #[test]

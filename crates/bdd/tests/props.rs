@@ -355,54 +355,54 @@ proptest! {
         }
     }
 
-    /// The level-bounded relational product of the saturation engine:
-    /// when `g` and the quantified cube only touch variables at or below
-    /// the bound, `and_exists_below` must equal plain `and_exists` (and
-    /// hence `exists(f ∧ g, c)`) for *every* `f` — including functions
-    /// whose support reaches above the bound, where the bounded recursion
-    /// takes its structural-descent fast path.
+    /// The cube substitution of the fused image engines: for cubes
+    /// `before`/`after` over one variable set, `substitute_cube(f, before,
+    /// after)` equals the unfused image `and(and_exists(f, before,
+    /// vars), after)` — for `f` and for `¬f`, and in both manager modes.
     #[test]
-    fn bounded_relational_product_matches_unbounded(
-        e1 in arb_expr(),
-        e2 in arb_expr(),
-        bound in 0..NVARS,
+    fn cube_substitution_matches_unfused_image(
+        e in arb_expr(),
         mask in 0u32..(1 << NVARS),
+        pol_before in 0u32..(1 << NVARS),
+        pol_after in 0u32..(1 << NVARS),
     ) {
+        let (mut m, f) = compile(&e);
+        let vars: Vec<Var> =
+            (0..NVARS).filter(|i| mask & (1 << i) != 0).map(Var::from_index).collect();
+        let cube_of = |pol: u32| -> Vec<Literal> {
+            vars.iter().map(|&v| Literal::new(v, pol & (1 << v.index()) != 0)).collect()
+        };
+        let before = m.cube(&cube_of(pol_before));
+        let after = m.cube(&cube_of(pol_after));
+        let c = m.vars_cube(&vars);
+        for g in [f, m.not(f)] {
+            let moved = m.and_exists(g, before, c);
+            let reference = m.and(moved, after);
+            prop_assert_eq!(m.substitute_cube(g, before, after), reference);
+            prop_assert_eq!(m.substitute_cube_x(g, before, after), reference);
+        }
+    }
+
+    /// `intersects` is the emptiness test of `and`, and `is_subset` that
+    /// of `diff` — without allocating a single node.
+    #[test]
+    fn intersects_matches_and_without_allocating(e1 in arb_expr(), e2 in arb_expr()) {
         let (mut m, _) = compile(&e1);
         let vars: Vec<Var> = (0..NVARS).map(Var::from_index).collect();
-        let resolve_all = |name: &str| -> Option<Var> {
+        let resolve = |name: &str| -> Option<Var> {
             let idx: usize = name[1..].parse().ok()?;
             vars.get(idx).copied()
         };
-        // Remap e2's variables into [bound, NVARS) so g respects the
-        // precondition; same for the quantified set.
-        let resolve_deep = |name: &str| -> Option<Var> {
-            let idx: usize = name[1..].parse().ok()?;
-            Some(vars[bound + idx % (NVARS - bound)])
-        };
-        let f = e1.to_bdd(&mut m, &resolve_all);
-        let g = e2.to_bdd(&mut m, &resolve_deep);
-        let quantified: Vec<Var> = (bound..NVARS)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(Var::from_index)
-            .collect();
-        let c = m.vars_cube(&quantified);
-        let bounded = m.and_exists_below(f, g, c, bound);
-        let unbounded = m.and_exists(f, g, c);
-        prop_assert_eq!(bounded, unbounded);
-        let conj = m.and(f, g);
-        let reference = m.exists(conj, c);
-        prop_assert_eq!(bounded, reference);
-        // Bound 0 imposes nothing: it must degenerate to and_exists for
-        // arbitrary operands.
-        let g_any = e2.to_bdd(&mut m, &resolve_all);
-        let c_any: Vec<Var> =
-            (0..NVARS).filter(|i| mask & (1 << i) != 0).map(Var::from_index).collect();
-        let c_any = m.vars_cube(&c_any);
-        prop_assert_eq!(
-            m.and_exists_below(f, g_any, c_any, 0),
-            m.and_exists(f, g_any, c_any)
-        );
+        let f = e1.to_bdd(&mut m, &resolve);
+        let g = e2.to_bdd(&mut m, &resolve);
+        let live = m.live_nodes();
+        let hit = m.intersects(f, g);
+        let sub = m.is_subset(f, g);
+        prop_assert_eq!(m.live_nodes(), live);
+        prop_assert_eq!(hit, !m.and(f, g).is_false());
+        prop_assert_eq!(sub, m.diff(f, g).is_false());
+        // A second test answers the same, from the cache or not.
+        prop_assert_eq!(m.intersects(f, g), hit);
     }
 
     /// Cube enumeration partitions the on-set: cubes are disjoint and their

@@ -38,14 +38,22 @@ impl SymbolicStg<'_> {
     /// Checks state-assignment consistency of `reached` (Def. 3.1 via the
     /// Section 5.1 characteristic functions). Returns one witness per
     /// violating signal edge.
+    ///
+    /// Each edge is an emptiness test `R ∩ Inconsistent(a±) = ∅`
+    /// ([`stgcheck_bdd::BddManager::intersects`]), so a consistent net
+    /// never builds the intersections; only a hit builds one, for its
+    /// witness.
     pub fn check_consistency(&mut self, reached: Bdd) -> Vec<ConsistencyViolation> {
         let mut out = Vec::new();
         for s in self.stg().signals() {
             for polarity in [Polarity::Rise, Polarity::Fall] {
                 let inc = self.inconsistent_set(s, polarity);
+                if !self.manager().intersects(reached, inc) {
+                    continue;
+                }
                 let bad = self.manager_mut().and(reached, inc);
-                if !bad.is_false() {
-                    let witness = self.decode_witness(bad).expect("non-empty set");
+                // `None` only when a budget trip made `bad` inert.
+                if let Some(witness) = self.decode_witness(bad) {
                     out.push(ConsistencyViolation { signal: s, polarity, witness });
                 }
             }

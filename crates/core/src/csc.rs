@@ -42,28 +42,25 @@ pub struct CscAnalysis {
 impl SymbolicStg<'_> {
     /// Computes the code-projected excitation and quiescent regions of
     /// signal `a` over the reachable full states.
+    ///
+    /// Each region is one fused relational product `∃p (R · g)`
+    /// ([`stgcheck_bdd::BddManager::and_exists`]), so the full-state
+    /// regions `R · g` are never built.
     pub fn code_regions(&mut self, reached: Bdd, a: SignalId) -> CodeRegions {
         let e_rise = self.edge_enabled(a, Polarity::Rise);
         let e_fall = self.edge_enabled(a, Polarity::Fall);
         let v = self.signal_var(a);
+        let places = self.places_cube();
         let mgr = self.manager_mut();
         let high = mgr.literal(Literal::positive(v));
         let low = mgr.literal(Literal::negative(v));
-        let er_rise_states = mgr.and(reached, e_rise);
-        let er_fall_states = mgr.and(reached, e_fall);
-        let qr_high_states = {
-            let s0 = mgr.and(reached, high);
-            mgr.diff(s0, e_fall)
-        };
-        let qr_low_states = {
-            let s0 = mgr.and(reached, low);
-            mgr.diff(s0, e_rise)
-        };
+        let quiet_high = mgr.diff(high, e_fall);
+        let quiet_low = mgr.diff(low, e_rise);
         CodeRegions {
-            er_rise: self.project_codes(er_rise_states),
-            er_fall: self.project_codes(er_fall_states),
-            qr_high: self.project_codes(qr_high_states),
-            qr_low: self.project_codes(qr_low_states),
+            er_rise: mgr.and_exists(reached, e_rise, places),
+            er_fall: mgr.and_exists(reached, e_fall, places),
+            qr_high: mgr.and_exists(reached, quiet_high, places),
+            qr_low: mgr.and_exists(reached, quiet_low, places),
         }
     }
 

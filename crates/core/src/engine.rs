@@ -13,10 +13,10 @@
 //!   transition, chained or strict-BFS, exactly the paper's formulation;
 //! * [`EngineKind::Clustered`] — transitions greedily grouped by support
 //!   overlap into partitioned relations (Burch/Clarke/Long style); each
-//!   transition's step collapses to one fused
-//!   [`stgcheck_bdd::BddManager::and_exists`] over a *before* cube plus
-//!   one product with an *after* cube, so the memoisation cache is shared
-//!   across the cluster's overlapping supports;
+//!   transition's step collapses to one cube substitution
+//!   [`stgcheck_bdd::BddManager::substitute_cube`] of its *before* cube
+//!   by its *after* cube, so the memoisation cache is shared across the
+//!   cluster's overlapping supports;
 //! * [`EngineKind::ParallelSharded`] — transitions sharded across
 //!   `std::thread::scope` workers. In the default [`ShardSharing::Shared`]
 //!   mode every worker computes against **one** concurrent
@@ -32,10 +32,11 @@
 //!   clustered engine's grouping: every cluster gets a *home level* in
 //!   the variable order (the topmost level its support touches, so the
 //!   firing stays at or below it — see [`saturation_homes`]) and is
-//!   fired to a *local fixpoint* there through the level-bounded
-//!   [`stgcheck_bdd::BddManager::and_exists_below`]; the schedule works
-//!   deepest homes first and re-saturates the deeper levels a growing
-//!   cluster re-enables before moving up, so the reached set grows in a
+//!   fired to a *local fixpoint* there through the same cube
+//!   substitution, which keeps the state set's shape above the home
+//!   level without looking at it; the schedule works deepest homes
+//!   first and re-saturates the deeper levels a growing cluster
+//!   re-enables before moving up, so the reached set grows in a
 //!   locality-coherent order instead of one global frontier per sweep.
 //!
 //! All four compute the same least fixpoint, so they return the same
@@ -62,9 +63,9 @@ pub enum EngineKind {
     /// byte-for-byte baseline. Honours [`TraversalStrategy`].
     #[default]
     PerTransition,
-    /// Transitions partitioned by support overlap; each step is a fused
-    /// `and_exists` over the cluster's enabling/update cubes. Always
-    /// chained (cluster by cluster).
+    /// Transitions partitioned by support overlap; each step is one cube
+    /// substitution of the transition's enabling cube by its update
+    /// cube. Always chained (cluster by cluster).
     Clustered,
     /// Transitions sharded across worker threads; partial frontier
     /// closures are OR-joined per iteration. Workers share the one
@@ -477,7 +478,7 @@ impl FixpointCtl {
     ///
     /// An abort is routed through the budget's cancellation latch so
     /// every layer sharing the budget — worker managers, in-flight
-    /// `and_exists` recursions — stops cooperatively, exactly as an
+    /// image recursions — stops cooperatively, exactly as an
     /// external cancel would.
     fn tick(
         &mut self,
@@ -822,22 +823,22 @@ fn run_per_transition(
 // Clustered engine: partitioned transition relations via fused cubes.
 // ---------------------------------------------------------------------------
 
-/// A transition's δ folded into three cubes (Section 4 algebra):
+/// A transition's δ folded into two cubes over the variables the firing
+/// touches (Section 4 algebra):
 ///
 /// * `before` — what must hold pre-firing: predecessor places marked,
 ///   strict successor places empty, the signal at its pre-firing value;
 /// * `after` — what holds post-firing: successor places marked, strict
-///   predecessor places empty, the signal at its post-firing value;
-/// * `quant` — the variables the firing touches.
+///   predecessor places empty, the signal at its post-firing value.
 ///
-/// Then `δ(M,t) = and_exists(M, before, quant) ∧ after` and the exact
-/// pre-image is the mirror `and_exists(M, after, quant) ∧ before` —
+/// Both cubes range over the same variables, so `δ(M,t) = M|before ∧
+/// after` and the exact pre-image is the mirror `M|after ∧ before` —
 /// equivalent to the four-step cofactor/product pipeline of
-/// [`SymbolicStg::image`], but one fused cache-friendly operation.
+/// [`SymbolicStg::image`], but one memoised pass
+/// ([`stgcheck_bdd::BddManager::substitute_cube`]).
 pub(crate) struct FusedCubes {
     pub(crate) before: Bdd,
     pub(crate) after: Bdd,
-    pub(crate) quant: Bdd,
 }
 
 pub(crate) fn build_fused_cubes(
@@ -852,10 +853,8 @@ pub(crate) fn build_fused_cubes(
         let post: Vec<_> = net.postset(t).iter().map(|&(p, _)| p).collect();
         let mut before = Vec::new();
         let mut after = Vec::new();
-        let mut quant: Vec<Var> = Vec::new();
         for &p in &pre {
             let v = sym.place_var(p);
-            quant.push(v);
             before.push(Literal::positive(v));
             if !post.contains(&p) {
                 after.push(Literal::negative(v));
@@ -864,7 +863,6 @@ pub(crate) fn build_fused_cubes(
         for &p in &post {
             let v = sym.place_var(p);
             if !pre.contains(&p) {
-                quant.push(v);
                 before.push(Literal::negative(v));
             }
             after.push(Literal::positive(v));
@@ -872,22 +870,20 @@ pub(crate) fn build_fused_cubes(
         if !marking_only {
             if let Some(label) = sym.stg().label(t) {
                 let v = sym.signal_var(label.signal);
-                quant.push(v);
                 before.push(Literal::new(v, label.polarity.value_before()));
                 after.push(Literal::new(v, label.polarity.value_after()));
             }
         }
         let before = sym.manager_mut().cube(&before);
         let after = sym.manager_mut().cube(&after);
-        let quant = sym.manager_mut().vars_cube(&quant);
-        out.push(FusedCubes { before, after, quant });
+        out.push(FusedCubes { before, after });
     }
     out
 }
 
 /// One fused δ application (forward or backward) confined to `within`.
 pub(crate) fn fused_apply(
-    sym: &mut SymbolicStg<'_>,
+    sym: &SymbolicStg<'_>,
     spec: &FixpointSpec,
     cubes: &FusedCubes,
     set: Bdd,
@@ -896,11 +892,10 @@ pub(crate) fn fused_apply(
         StepDirection::Forward => (cubes.before, cubes.after),
         StepDirection::Backward => (cubes.after, cubes.before),
     };
-    let mgr = sym.manager_mut();
-    let moved = mgr.and_exists_many(&[set, select], cubes.quant);
-    let img = mgr.and(moved, reimpose);
+    let mgr = sym.manager();
+    let img = mgr.substitute_cube(set, select, reimpose);
     match spec.within {
-        Some(w) => sym.manager_mut().and(img, w),
+        Some(w) => mgr.and(img, w),
         None => img,
     }
 }
@@ -921,10 +916,9 @@ fn fused_apply_m(
         StepDirection::Backward => (cubes.after, cubes.before),
     };
     let mgr = sym.manager_mut();
-    let moved = mgr.and_exists_many_x(&[set, select], cubes.quant);
-    let img = mgr.and_x(moved, reimpose);
+    let img = mgr.substitute_cube_x(set, select, reimpose);
     match spec.within {
-        Some(w) => sym.manager_mut().and_x(img, w),
+        Some(w) => mgr.and_x(img, w),
         None => img,
     }
 }
@@ -975,16 +969,16 @@ fn run_clustered(
 ) -> FixpointOutcome {
     let fused = build_fused_cubes(sym, spec.marking_only, transitions);
     let supports: Vec<BTreeSet<Var>> =
-        fused.iter().map(|f| sym.manager().support(f.quant).into_iter().collect()).collect();
+        fused.iter().map(|f| sym.manager().support(f.before).into_iter().collect()).collect();
     let clusters = cluster_by_support(&supports, opts.effective_max_cluster());
-    let engine_roots: Vec<Bdd> = fused.iter().flat_map(|f| [f.before, f.after, f.quant]).collect();
+    let engine_roots: Vec<Bdd> = fused.iter().flat_map(|f| [f.before, f.after]).collect();
     let x = opts.exclusive();
     let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
     loop {
         iterations += 1;
         // Chained across clusters, breadth-first within each cluster: the
         // cluster's transitions all fire from the same accumulator, so
-        // their fused and_exists calls hit the same cache lines.
+        // their cube substitutions hit the same cache lines.
         let mut acc = from;
         for cluster in &clusters {
             let mut delta = Bdd::FALSE;
@@ -1044,9 +1038,8 @@ fn run_clustered(
 /// from which its whole support union is still at or below — i.e. the
 /// topmost (smallest-index; levels grow towards the terminals) level any
 /// of its variables sits on. The cluster's support then lies entirely in
-/// `[home, n)`, so its firings can never build structure above the home
-/// and [`stgcheck_bdd::BddManager::and_exists_below`] may descend the
-/// state set structurally down to it.
+/// `[home, n)`, so its firings can never build structure above the home:
+/// the cube substitution descends the state set structurally down to it.
 ///
 /// The assignment is a pure, permutation-stable function of the variable
 /// order and the support sets: permuting the order (via
@@ -1074,62 +1067,14 @@ pub(crate) fn saturation_schedule(homes: &[usize]) -> Vec<usize> {
     order
 }
 
-/// [`fused_apply`] bounded at the firing cluster's home level: identical
-/// result, but the `and_exists` recursion keeps the state set's shape
-/// above `home` instead of re-peeking the cubes at every node.
-fn fused_apply_below(
-    sym: &mut SymbolicStg<'_>,
-    spec: &FixpointSpec,
-    cubes: &FusedCubes,
-    set: Bdd,
-    home: usize,
-) -> Bdd {
-    let (select, reimpose) = match spec.direction {
-        StepDirection::Forward => (cubes.before, cubes.after),
-        StepDirection::Backward => (cubes.after, cubes.before),
-    };
-    let mgr = sym.manager_mut();
-    let moved = mgr.and_exists_below(set, select, cubes.quant, home);
-    let img = mgr.and(moved, reimpose);
-    match spec.within {
-        Some(w) => sym.manager_mut().and(img, w),
-        None => img,
-    }
-}
-
-/// [`fused_apply_below`] with mode dispatch.
-fn fused_apply_below_m(
-    sym: &mut SymbolicStg<'_>,
-    spec: &FixpointSpec,
-    cubes: &FusedCubes,
-    set: Bdd,
-    home: usize,
-    x: bool,
-) -> Bdd {
-    if !x {
-        return fused_apply_below(sym, spec, cubes, set, home);
-    }
-    let (select, reimpose) = match spec.direction {
-        StepDirection::Forward => (cubes.before, cubes.after),
-        StepDirection::Backward => (cubes.after, cubes.before),
-    };
-    let mgr = sym.manager_mut();
-    let moved = mgr.and_exists_below_x(set, select, cubes.quant, home);
-    let img = mgr.and_x(moved, reimpose);
-    match spec.within {
-        Some(w) => sym.manager_mut().and_x(img, w),
-        None => img,
-    }
-}
-
 /// Ciardo-style saturation over the clustered engine's grouping.
 ///
 /// The sweep walks the schedule (deepest homes first) and fires each
 /// cluster to a *local fixpoint*: its transitions chain from the full
-/// reached set until nothing new appears, every step bounded at the
-/// cluster's home level. When a cluster grows the reached set, the new
-/// states may re-enable transitions that were already saturated deeper
-/// down — but only in clusters whose support overlaps this one: a
+/// reached set until nothing new appears, every step rewriting only the
+/// levels at and below the cluster's home. When a cluster grows the
+/// reached set, the new states may re-enable transitions that were
+/// already saturated deeper down — but only in clusters whose support overlaps this one: a
 /// disjoint-support cluster's enabling valuations are untouched by the
 /// growth (its firings commute with this cluster's), so it provably
 /// stays at its fixpoint. The sweep therefore restarts at the deepest
@@ -1159,14 +1104,13 @@ fn run_saturation(
 ) -> FixpointOutcome {
     let mut fused = build_fused_cubes(sym, spec.marking_only, transitions);
     let supports: Vec<BTreeSet<Var>> =
-        fused.iter().map(|f| sym.manager().support(f.quant).into_iter().collect()).collect();
+        fused.iter().map(|f| sym.manager().support(f.before).into_iter().collect()).collect();
     let clusters = cluster_by_support(&supports, opts.effective_max_cluster());
     let cluster_supports: Vec<BTreeSet<Var>> = clusters
         .iter()
         .map(|c| c.iter().flat_map(|&i| supports[i].iter().copied()).collect())
         .collect();
-    let mut engine_roots: Vec<Bdd> =
-        fused.iter().flat_map(|f| [f.before, f.after, f.quant]).collect();
+    let mut engine_roots: Vec<Bdd> = fused.iter().flat_map(|f| [f.before, f.after]).collect();
     let mut homes = saturation_homes(sym.manager(), &cluster_supports);
     let mut schedule = saturation_schedule(&homes);
     // Saturation has no global frontier; a resumed snapshot seeds the
@@ -1178,13 +1122,13 @@ fn run_saturation(
     while pos < schedule.len() {
         let c = schedule[pos];
         // Local fixpoint: the cluster's transitions chain from the full
-        // reached set, every and_exists bounded at the home level.
+        // reached set.
         let mut grew = false;
         loop {
             iterations += 1;
             let mut acc = reached;
             for &i in &clusters[c] {
-                let img = fused_apply_below_m(sym, spec, &fused[i], acc, homes[c], x);
+                let img = fused_apply_m(sym, spec, &fused[i], acc, x);
                 acc = or_m(sym, acc, img, x);
                 maybe_gc(sym, spec, &[reached, acc], &[], &engine_roots);
             }
@@ -1236,7 +1180,7 @@ fn run_saturation(
         maybe_reorder(sym, opts, spec, &[reached], &[], &[]);
         if sym.manager().stats().sift_runs != sift_before {
             fused = build_fused_cubes(sym, spec.marking_only, transitions);
-            engine_roots = fused.iter().flat_map(|f| [f.before, f.after, f.quant]).collect();
+            engine_roots = fused.iter().flat_map(|f| [f.before, f.after]).collect();
             homes = saturation_homes(sym.manager(), &cluster_supports);
             schedule = saturation_schedule(&homes);
             pos = 0;
@@ -1644,7 +1588,7 @@ mod tests {
     use crate::encode::VarOrder;
     use stgcheck_stg::{gen, Code};
 
-    /// The fused before/after/quant formulation must agree with the
+    /// The fused before/after formulation must agree with the
     /// four-step cofactor/product pipeline on every transition, forward
     /// and backward, full-state and marking-only.
     #[test]
@@ -1666,7 +1610,7 @@ mod tests {
                     };
                     for (i, &tr) in transitions.iter().enumerate() {
                         let a = apply_one(&sym, &spec, t.reached, tr);
-                        let b = fused_apply(&mut sym, &spec, &fused[i], t.reached);
+                        let b = fused_apply(&sym, &spec, &fused[i], t.reached);
                         assert_eq!(
                             a,
                             b,
@@ -1702,12 +1646,12 @@ mod tests {
         let xp = stg.net().trans_by_name("x+").unwrap();
         let i = transitions.iter().position(|&t| t == xp).unwrap();
         let seq = apply_one(&sym, &spec, init, xp);
-        let fus = fused_apply(&mut sym, &spec, &fused[i], init);
+        let fus = fused_apply(&sym, &spec, &fused[i], init);
         assert_eq!(seq, fus);
         assert!(!fus.is_false());
         // And backward inverts it exactly.
         let back_spec = FixpointSpec { direction: StepDirection::Backward, ..spec };
-        let back = fused_apply(&mut sym, &back_spec, &fused[i], fus);
+        let back = fused_apply(&sym, &back_spec, &fused[i], fus);
         assert_eq!(back, init);
     }
 
@@ -1718,7 +1662,7 @@ mod tests {
         let transitions: Vec<_> = stg.net().transitions().collect();
         let fused = build_fused_cubes(&mut sym, false, &transitions);
         let supports: Vec<BTreeSet<Var>> =
-            fused.iter().map(|f| sym.manager().support(f.quant).into_iter().collect()).collect();
+            fused.iter().map(|f| sym.manager().support(f.before).into_iter().collect()).collect();
         for cap in [1, 3, 8] {
             let clusters = cluster_by_support(&supports, cap);
             let mut seen = vec![false; transitions.len()];
@@ -1761,7 +1705,7 @@ mod tests {
         let transitions: Vec<_> = sym.stg().net().transitions().collect();
         let fused = build_fused_cubes(sym, false, &transitions);
         let supports: Vec<BTreeSet<Var>> =
-            fused.iter().map(|f| sym.manager().support(f.quant).into_iter().collect()).collect();
+            fused.iter().map(|f| sym.manager().support(f.before).into_iter().collect()).collect();
         let clusters = cluster_by_support(&supports, max_cluster);
         let cluster_supports = clusters
             .iter()
@@ -1781,7 +1725,7 @@ mod tests {
         let stg = gen::master_read(3);
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
         let (fused, _clusters, cluster_supports) = saturation_clustering(&mut sym, 8);
-        let mut roots: Vec<Bdd> = fused.iter().flat_map(|f| [f.before, f.after, f.quant]).collect();
+        let mut roots: Vec<Bdd> = fused.iter().flat_map(|f| [f.before, f.after]).collect();
 
         let check = |sym: &SymbolicStg<'_>| {
             let homes = saturation_homes(sym.manager(), &cluster_supports);
@@ -1830,29 +1774,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..homes.len()).collect::<Vec<_>>());
         assert_eq!(schedule, saturation_schedule(&homes), "must be deterministic");
-    }
-
-    /// The bounded fused apply agrees with the unbounded one at the home
-    /// level of the firing transition's cluster (and at bound 0, where it
-    /// degenerates to plain `fused_apply`).
-    #[test]
-    fn bounded_fused_apply_matches_unbounded_at_the_home_level() {
-        let stg = gen::muller_pipeline(5);
-        let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
-        let code = sym.effective_initial_code().unwrap();
-        let t = sym.traverse(code, TraversalStrategy::Chained);
-        let (fused, clusters, cluster_supports) = saturation_clustering(&mut sym, 8);
-        let homes = saturation_homes(sym.manager(), &cluster_supports);
-        let spec = FixpointSpec::forward_full();
-        for (c, cluster) in clusters.iter().enumerate() {
-            for &i in cluster {
-                let free = fused_apply(&mut sym, &spec, &fused[i], t.reached);
-                let bounded = fused_apply_below(&mut sym, &spec, &fused[i], t.reached, homes[c]);
-                assert_eq!(free, bounded, "cluster {c} transition {i} at home {}", homes[c]);
-                let at_top = fused_apply_below(&mut sym, &spec, &fused[i], t.reached, 0);
-                assert_eq!(free, at_top, "bound 0 must degenerate to fused_apply");
-            }
-        }
     }
 
     #[test]

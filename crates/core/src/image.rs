@@ -293,14 +293,13 @@ mod tests {
         assert_eq!(w.marked_places, vec!["q".to_string()]);
     }
 
-    /// The saturation engine's level-bounded fused step is a third
-    /// formulation of the same δ: for every transition it must agree
-    /// with this module's cofactor/product pipeline — forward and
-    /// backward — when bounded at the transition's own top support
-    /// level, the tightest bound its cluster home can ever take.
+    /// The fused engines' cube substitution is a third formulation of
+    /// the same δ: for every transition it must agree with this module's
+    /// cofactor/product pipeline — forward and backward, in the shared
+    /// and in the exclusive mode.
     #[test]
-    fn bounded_fused_image_matches_cofactor_pipeline() {
-        use crate::engine::{build_fused_cubes, fused_apply, FixpointSpec, StepDirection};
+    fn cube_substitution_matches_cofactor_pipeline() {
+        use crate::engine::build_fused_cubes;
         for stg in [gen::mutex_element(), gen::muller_pipeline(4), gen::master_read(2)] {
             let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
             let code = sym.effective_initial_code().unwrap();
@@ -308,35 +307,16 @@ mod tests {
             let transitions: Vec<_> = stg.net().transitions().collect();
             let fused = build_fused_cubes(&mut sym, false, &transitions);
             for (i, &tr) in transitions.iter().enumerate() {
-                let home = sym
-                    .manager()
-                    .support(fused[i].quant)
-                    .into_iter()
-                    .map(|v| sym.manager().level_of(v))
-                    .min()
-                    .unwrap();
-                for direction in [StepDirection::Forward, StepDirection::Backward] {
-                    let spec = FixpointSpec { direction, ..FixpointSpec::forward_full() };
-                    let pipeline = match direction {
-                        StepDirection::Forward => sym.image(t.reached, tr),
-                        StepDirection::Backward => sym.preimage(t.reached, tr),
-                    };
-                    let (select, reimpose) = match direction {
-                        StepDirection::Forward => (fused[i].before, fused[i].after),
-                        StepDirection::Backward => (fused[i].after, fused[i].before),
-                    };
-                    let moved =
-                        sym.manager().and_exists_below(t.reached, select, fused[i].quant, home);
-                    let bounded = sym.manager().and(moved, reimpose);
-                    assert_eq!(
-                        bounded,
-                        pipeline,
-                        "{} t={} dir={direction:?}",
-                        stg.name(),
-                        stg.net().trans_name(tr)
-                    );
-                    let unbounded = fused_apply(&mut sym, &spec, &fused[i], t.reached);
-                    assert_eq!(bounded, unbounded, "{} bounded vs fused", stg.name());
+                let (before, after) = (fused[i].before, fused[i].after);
+                for (pipeline, select, reimpose) in [
+                    (sym.image(t.reached, tr), before, after),
+                    (sym.preimage(t.reached, tr), after, before),
+                ] {
+                    let shared = sym.manager().substitute_cube(t.reached, select, reimpose);
+                    assert_eq!(shared, pipeline, "{} t={}", stg.name(), stg.net().trans_name(tr));
+                    let exclusive =
+                        sym.manager_mut().substitute_cube_x(t.reached, select, reimpose);
+                    assert_eq!(exclusive, shared, "{} modes disagree", stg.name());
                 }
             }
         }

@@ -15,9 +15,9 @@
 //!   chained or strict-BFS, with peak/final BDD statistics;
 //! * a pluggable image-engine layer ([`EngineKind`], [`EngineOptions`])
 //!   behind one shared fixed-point loop: the per-transition baseline,
-//!   support-clustered partitioned relations with fused `and_exists`
-//!   steps, and a parallel sharded engine that splits transitions across
-//!   worker threads with private BDD managers (see
+//!   support-clustered partitioned relations with one-pass cube
+//!   substitution steps, and a parallel sharded engine that splits
+//!   transitions across worker threads with private BDD managers (see
 //!   `docs/traversal-engines.md`);
 //! * the checks of Section 5: safeness, consistency, transition and
 //!   signal persistency (Fig. 6), CSC via excitation/quiescent regions,

@@ -29,6 +29,10 @@ impl SymbolicStg<'_> {
     /// already hold a token.
     ///
     /// Returns all violating `(transition, place)` pairs with witnesses.
+    ///
+    /// Each pair is an emptiness test of `R` against the small cube
+    /// `E(t) · p` ([`stgcheck_bdd::BddManager::intersects`]); only a hit
+    /// builds the intersection, for its witness.
     pub fn check_safeness(&mut self, reached: Bdd) -> Vec<SafetyViolation> {
         let net = self.stg().net();
         let mut out = Vec::new();
@@ -40,12 +44,15 @@ impl SymbolicStg<'_> {
                 }
                 let enabled = self.cubes(t).enabled;
                 let pv = self.place_var(p);
-                let marked = self.manager_mut().literal(Literal::positive(pv));
                 let mgr = self.manager_mut();
-                let bad0 = mgr.and(reached, enabled);
-                let bad = mgr.and(bad0, marked);
-                if !bad.is_false() {
-                    let witness = self.decode_witness(bad).expect("non-empty set");
+                let marked = mgr.literal(Literal::positive(pv));
+                let unsafe_firing = mgr.and(enabled, marked);
+                if !mgr.intersects(reached, unsafe_firing) {
+                    continue;
+                }
+                let bad = mgr.and(reached, unsafe_firing);
+                // `None` only when a budget trip made `bad` inert.
+                if let Some(witness) = self.decode_witness(bad) {
                     out.push(SafetyViolation { transition: t, place: p, witness });
                 }
             }
