@@ -168,18 +168,6 @@ impl NodeArena {
         self.cell(i).store(encode(n), Ordering::Release);
     }
 
-    /// Exclusive-mode [`NodeArena::set`]: a plain store through `&mut
-    /// self`. No release fence is needed — the `&mut` borrow proves no
-    /// other thread can observe the cell until the borrow ends, and the
-    /// end of the borrow is itself a synchronization point for whoever
-    /// acquires access next.
-    #[inline]
-    pub(crate) fn set_mut(&mut self, i: usize, n: Node) {
-        let (s, off) = locate(i);
-        let seg = self.segs[s].get_mut().expect("arena segment written before allocation");
-        *seg[off].get_mut() = encode(n);
-    }
-
     /// Overwrites only the level of slot `i` (GC's dead-marking and the
     /// level relabelling of in-place swaps) — a masked bit splice, not a
     /// decode/encode round trip: sifting calls this for every rising and
@@ -382,7 +370,7 @@ mod tests {
         for k in 0..(3 * SEG_SIZE / 2) {
             let n = Node { level: (k % MAX_VARS) as Level, lo: Bdd(2 * k as u32), hi: Bdd(1) };
             let sa = a.alloc_mut().unwrap();
-            a.set_mut(sa as usize, n);
+            a.set(sa as usize, n);
             let sb = b.alloc().unwrap();
             b.set(sb as usize, n);
             assert_eq!(sa, sb);

@@ -193,7 +193,7 @@ impl PackedCache {
     }
 
     #[inline]
-    fn insert(&self, key: u64, r: Bdd) {
+    pub(crate) fn insert(&self, key: u64, r: Bdd) {
         let slots = self
             .slots
             .get_or_init(|| (0..1usize << PACKED_BITS).map(|_| PackedSlot::empty()).collect());
@@ -212,7 +212,7 @@ impl PackedCache {
     /// shared-mode probes after the borrow ends validate it exactly as
     /// if a concurrent writer had published it.
     #[inline]
-    fn insert_mut(&mut self, key: u64, r: Bdd) {
+    pub(crate) fn insert_mut(&mut self, key: u64, r: Bdd) {
         if self.slots.get().is_none() {
             self.slots
                 .get_or_init(|| (0..1usize << PACKED_BITS).map(|_| PackedSlot::empty()).collect());
@@ -320,7 +320,7 @@ impl DirectCache {
     }
 
     #[inline]
-    fn insert(&self, a: u32, b: u32, c: u32, r: Bdd) {
+    pub(crate) fn insert(&self, a: u32, b: u32, c: u32, r: Bdd) {
         debug_assert!(a != EMPTY, "cache key collides with the empty sentinel");
         let slots =
             self.slots.get_or_init(|| (0..1usize << self.bits).map(|_| Slot::empty()).collect());
@@ -346,7 +346,7 @@ impl DirectCache {
     /// version word stays even, so the entry reads as stable to any
     /// later shared-mode probe.
     #[inline]
-    fn insert_mut(&mut self, a: u32, b: u32, c: u32, r: Bdd) {
+    pub(crate) fn insert_mut(&mut self, a: u32, b: u32, c: u32, r: Bdd) {
         debug_assert!(a != EMPTY, "cache key collides with the empty sentinel");
         if self.slots.get().is_none() {
             self.slots.get_or_init(|| (0..1usize << self.bits).map(|_| Slot::empty()).collect());
@@ -384,10 +384,10 @@ impl DirectCache {
 /// verification that reaches it — each request of the per-transition
 /// engine — from allocating and filling another megabyte.
 pub(crate) struct OpCaches {
-    bin: PackedCache,
-    ite: DirectCache,
-    and_exists: DirectCache,
-    substitute: DirectCache,
+    pub(crate) bin: PackedCache,
+    pub(crate) ite: DirectCache,
+    pub(crate) and_exists: DirectCache,
+    pub(crate) substitute: DirectCache,
 }
 
 impl Default for OpCaches {
@@ -405,7 +405,7 @@ impl Default for OpCaches {
 /// Sound because the arena caps slots at 2²⁷, so tagged handles occupy
 /// 28 of the 30 bits a field provides — checked here in debug builds.
 #[inline]
-fn bin_key(op: BinOp, f: Bdd, g: Bdd) -> u64 {
+pub(crate) fn bin_key(op: BinOp, f: Bdd, g: Bdd) -> u64 {
     debug_assert!(f.0 < 1 << 30 && g.0 < 1 << 30, "handle outside the 30-bit packed range");
     (op as u64) << 60 | (f.0 as u64) << 30 | g.0 as u64
 }
@@ -417,28 +417,8 @@ impl OpCaches {
     }
 
     #[inline]
-    pub(crate) fn bin_insert(&self, op: BinOp, f: Bdd, g: Bdd, r: Bdd) {
-        self.bin.insert(bin_key(op, f, g), r);
-    }
-
-    #[inline]
-    pub(crate) fn bin_insert_mut(&mut self, op: BinOp, f: Bdd, g: Bdd, r: Bdd) {
-        self.bin.insert_mut(bin_key(op, f, g), r);
-    }
-
-    #[inline]
     pub(crate) fn ite_get(&self, f: Bdd, g: Bdd, h: Bdd) -> Option<Bdd> {
         self.ite.get(f.0, g.0, h.0)
-    }
-
-    #[inline]
-    pub(crate) fn ite_insert(&self, f: Bdd, g: Bdd, h: Bdd, r: Bdd) {
-        self.ite.insert(f.0, g.0, h.0, r);
-    }
-
-    #[inline]
-    pub(crate) fn ite_insert_mut(&mut self, f: Bdd, g: Bdd, h: Bdd, r: Bdd) {
-        self.ite.insert_mut(f.0, g.0, h.0, r);
     }
 
     #[inline]
@@ -447,28 +427,8 @@ impl OpCaches {
     }
 
     #[inline]
-    pub(crate) fn and_exists_insert(&self, f: Bdd, g: Bdd, c: Bdd, r: Bdd) {
-        self.and_exists.insert(f.0, g.0, c.0, r);
-    }
-
-    #[inline]
-    pub(crate) fn and_exists_insert_mut(&mut self, f: Bdd, g: Bdd, c: Bdd, r: Bdd) {
-        self.and_exists.insert_mut(f.0, g.0, c.0, r);
-    }
-
-    #[inline]
     pub(crate) fn substitute_get(&self, f: Bdd, before: Bdd, after: Bdd) -> Option<Bdd> {
         self.substitute.get(f.0, before.0, after.0)
-    }
-
-    #[inline]
-    pub(crate) fn substitute_insert(&self, f: Bdd, before: Bdd, after: Bdd, r: Bdd) {
-        self.substitute.insert(f.0, before.0, after.0, r);
-    }
-
-    #[inline]
-    pub(crate) fn substitute_insert_mut(&mut self, f: Bdd, before: Bdd, after: Bdd, r: Bdd) {
-        self.substitute.insert_mut(f.0, before.0, after.0, r);
     }
 
     /// Forgets every entry. Must run whenever node slots may be recycled

@@ -12,7 +12,9 @@
 //!   publication, the unique table is lock-sharded by level and the
 //!   operation caches are lossy-atomic, so every boolean operation on a
 //!   [`BddManager`] takes `&self` and may run from many threads against
-//!   one manager; mark-and-sweep garbage collection and peak-size
+//!   one manager (each is written once over [`Access`], whose exclusive
+//!   `&mut` instantiation skips the atomics when one thread owns the
+//!   manager); mark-and-sweep garbage collection and peak-size
 //!   statistics (the "BDD size" columns of the paper's Table 1) are
 //!   `&mut self` quiesce-point operations;
 //! * **complement edges** (see `docs/bdd-internals.md`): [`Bdd`] handles
@@ -63,6 +65,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod access;
 mod analysis;
 mod arena;
 mod budget;
@@ -78,6 +81,7 @@ mod reorder;
 mod serialize;
 mod sift;
 
+pub use access::Access;
 pub use analysis::Cubes;
 pub use arena::{MAX_SLOTS, MAX_VARS};
 pub use budget::{Budget, ResourceError};

@@ -12,23 +12,26 @@
 //! # Concurrency
 //!
 //! Since the shared-unique-table rework (`docs/concurrent-table.md`) the
-//! manager is `Sync`: every *functional* operation — [`BddManager::mk`]
-//! via the public connectives, quantifiers, cofactors, analysis and
-//! export — takes `&self` and may be called from many threads against
-//! one manager. The unique table is **lock-sharded by level** (one mutex
-//! per level, a natural shard key because sifting rewires whole levels),
-//! the node arena is append-only with atomic publication, and the
-//! operation caches are lossy-atomic. *Structural* operations — variable
-//! declaration, GC, sifting, rebuild — take `&mut self`, so Rust's
-//! borrow rules make every one of them a stop-the-world quiesce point:
-//! no thread can hold `&BddManager` across them.
+//! manager is `Sync`: every *functional* operation — the connectives,
+//! quantifiers, cofactors, analysis and export — takes `&self` and may be
+//! called from many threads against one manager. The same operations run
+//! without atomic publication through `&mut self` when [`crate::Access`]
+//! is in scope (the trait documents the mode contract). The unique table
+//! is **lock-sharded by level** (one mutex per level, a natural shard key
+//! because sifting rewires whole levels), the node arena is append-only
+//! with atomic publication, and the operation caches are lossy-atomic.
+//! *Structural* operations — variable declaration, GC, sifting, rebuild —
+//! take `&mut self`, so Rust's borrow rules make every one of them a
+//! stop-the-world quiesce point: no thread can hold `&BddManager` across
+//! them.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use crate::access::Access;
 use crate::arena::NodeArena;
-use crate::budget::{Budget, ResourceError};
+use crate::budget::Budget;
 use crate::cache::{CheapBuildHasher, OpCaches};
 use crate::node::{Bdd, Level, Literal, Node, Var, DEAD_LEVEL, TERMINAL_LEVEL};
 
@@ -45,8 +48,11 @@ pub(crate) type UniqueTable = HashMap<(Bdd, Bdd), Bdd, CheapBuildHasher>;
 /// `Or` and `Forall` need no codes: with complement edges they are O(1)
 /// wrappers over `And` and `Exists` (`f∨g = ¬(¬f∧¬g)`, `∀c.f = ¬∃c.¬f`),
 /// which is precisely what doubles the hit rate of the shared cache.
+///
+/// `pub` only because the sealed access trait names it; this module is
+/// private, so the type is not exported.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub(crate) enum BinOp {
+pub enum BinOp {
     And,
     Xor,
     Exists,
@@ -117,7 +123,7 @@ pub struct BddManager {
     /// Only mutated under the mutex; `free_hint` lets the hot path skip
     /// the lock entirely while the list is empty (the common case).
     pub(crate) free: Mutex<Vec<u32>>,
-    free_hint: AtomicUsize,
+    pub(crate) free_hint: AtomicUsize,
     /// The lock-sharded unique table: one exact map + mutex per level.
     pub(crate) subtables: Vec<Mutex<UniqueTable>>,
     var_names: Vec<String>,
@@ -145,10 +151,10 @@ pub struct BddManager {
     /// Old-space slots recycled off the free list since the last
     /// collection. They hold *young* nodes despite sitting below the
     /// watermark, so the minor mark must treat them as young and the
-    /// minor sweep must visit them. Pushed by `alloc_slot`/`mk_x` at
-    /// free-list pop time — the only funnels through which a dead slot
-    /// comes back to life between quiesce points.
-    young_recycled: Mutex<Vec<u32>>,
+    /// minor sweep must visit them. Pushed by both modes' slot claim
+    /// (`crate::access`) at free-list pop time — the only funnel through
+    /// which a dead slot comes back to life between quiesce points.
+    pub(crate) young_recycled: Mutex<Vec<u32>>,
     /// Growth factor of the amortized collection trigger
     /// ([`BddManager::gc_due`]); default 1.5, always > 1.
     pub(crate) gc_growth: f64,
@@ -334,14 +340,12 @@ impl BddManager {
     /// positive literal is the complemented handle of the stored node
     /// `(v, lo=TRUE, hi=FALSE)`.
     pub fn var(&self, v: Var) -> Bdd {
-        let level = self.level_of_var[v.index()];
-        self.mk(level, Bdd::FALSE, Bdd::TRUE)
+        Access::var(&mut { self }, v)
     }
 
     /// The function of the single negative literal `¬v`.
     pub fn nvar(&self, v: Var) -> Bdd {
-        let level = self.level_of_var[v.index()];
-        self.mk(level, Bdd::TRUE, Bdd::FALSE)
+        Access::nvar(&mut { self }, v)
     }
 
     /// The function of a single [`Literal`].
@@ -351,57 +355,6 @@ impl BddManager {
         } else {
             self.nvar(lit.var())
         }
-    }
-
-    /// Hash-consing constructor — the only way nodes are created. Safe to
-    /// call from many threads: lookup and insert happen under the level's
-    /// shard lock, so equal requests always converge on one slot.
-    ///
-    /// Canonicalizes to the complement-edge normal form: when the
-    /// requested `lo` edge is complemented, the *negated* node is stored
-    /// (`¬lo`, `¬hi` — with `¬lo` regular) and the complemented handle is
-    /// returned, so `FALSE` never appears as a stored else edge and every
-    /// function has exactly one representation.
-    ///
-    /// When the arena is exhausted this trips the installed [`Budget`]
-    /// and returns [`Bdd::FALSE`] — a valid handle — without publishing
-    /// anything; the enclosing operations observe the trip, stop
-    /// memoising and unwind inertly (see `crate::budget`).
-    pub(crate) fn mk(&self, level: Level, lo: Bdd, hi: Bdd) -> Bdd {
-        debug_assert!(!self.node(lo).is_dead() && !self.node(hi).is_dead());
-        debug_assert!(self.level(lo) > level && self.level(hi) > level);
-        if lo == hi {
-            return lo;
-        }
-        // Complement-edge canonicalization: store the regular-lo form.
-        let flip = lo.is_complemented();
-        let (lo, hi) = if flip { (lo.complement(), hi.complement()) } else { (lo, hi) };
-        let mut table = self.subtables[level as usize].lock().expect("unique-table shard");
-        if let Some(&found) = table.get(&(lo, hi)) {
-            return found.complement_if(flip);
-        }
-        let Some(slot) = self.alloc_slot() else {
-            drop(table);
-            self.budget.trip(ResourceError::ArenaExhausted);
-            return Bdd::FALSE;
-        };
-        // Publish order: node data first, then the table entry. The
-        // mutex release (and any later release-store of the handle)
-        // carries the data to every reader.
-        self.nodes.set(slot as usize, Node { level, lo, hi });
-        let id = Bdd::from_slot(slot);
-        table.insert((lo, hi), id);
-        drop(table);
-        let cur = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        if cur > self.peak_live.load(Ordering::Relaxed) {
-            self.peak_live.fetch_max(cur, Ordering::Relaxed);
-        }
-        if self.budget_limited {
-            // The node itself stays valid either way; a trip here merely
-            // makes the *next* recursion steps bail out inertly.
-            self.budget.note_alloc(cur);
-        }
-        id.complement_if(flip)
     }
 
     /// Returns a reclaimed slot to the free list (sifting's eager orphan
@@ -418,79 +371,7 @@ impl BddManager {
         *self.live.get_mut() -= 1;
     }
 
-    /// Claims a node slot: recycled from the free list when the last GC
-    /// left any, freshly bump-allocated otherwise. `None` when the arena
-    /// slot range is exhausted. A recycled slot is recorded as *young* —
-    /// it is about to hold a node allocated after the watermark, so the
-    /// next minor mark must descend into it and the minor sweep must
-    /// visit it.
-    fn alloc_slot(&self) -> Option<u32> {
-        if self.free_hint.load(Ordering::Relaxed) > 0 {
-            let mut free = self.free.lock().expect("free list");
-            if let Some(slot) = free.pop() {
-                self.free_hint.store(free.len(), Ordering::Relaxed);
-                drop(free);
-                self.young_recycled.lock().expect("young-recycled list").push(slot);
-                return Some(slot);
-            }
-        }
-        self.nodes.alloc()
-    }
-
-    /// The exclusive-mode [`BddManager::mk`]: identical hash-consing and
-    /// complement-edge semantics, but through `Mutex::get_mut` on the
-    /// shard, a plain bump allocation and plain counter writes — no lock
-    /// acquisition, no atomic read-modify-writes. The `&mut` receiver is
-    /// the whole safety argument: borrowck proves no other thread can
-    /// touch the manager while this runs. Same budget contract as `mk`
-    /// (trips [`ResourceError::ArenaExhausted`] and returns
-    /// [`Bdd::FALSE`] on exhaustion — unlike the sift-internal
-    /// [`BddManager::mk_counted`], whose headroom gate makes exhaustion a
-    /// panic-worthy invariant violation).
-    pub(crate) fn mk_x(&mut self, level: Level, lo: Bdd, hi: Bdd) -> Bdd {
-        debug_assert!(!self.node(lo).is_dead() && !self.node(hi).is_dead());
-        debug_assert!(self.level(lo) > level && self.level(hi) > level);
-        if lo == hi {
-            return lo;
-        }
-        let flip = lo.is_complemented();
-        let (lo, hi) = if flip { (lo.complement(), hi.complement()) } else { (lo, hi) };
-        let table = self.subtables[level as usize].get_mut().expect("unique-table shard");
-        if let Some(&found) = table.get(&(lo, hi)) {
-            return found.complement_if(flip);
-        }
-        let slot = {
-            let free = self.free.get_mut().expect("free list");
-            match free.pop() {
-                Some(slot) => {
-                    *self.free_hint.get_mut() = free.len();
-                    self.young_recycled.get_mut().expect("young-recycled list").push(slot);
-                    slot
-                }
-                None => match self.nodes.alloc_mut() {
-                    Some(slot) => slot,
-                    None => {
-                        self.budget.trip(ResourceError::ArenaExhausted);
-                        return Bdd::FALSE;
-                    }
-                },
-            }
-        };
-        self.nodes.set_mut(slot as usize, Node { level, lo, hi });
-        let id = Bdd::from_slot(slot);
-        self.subtables[level as usize].get_mut().expect("unique-table shard").insert((lo, hi), id);
-        let live = *self.live.get_mut() + 1;
-        *self.live.get_mut() = live;
-        if live > *self.peak_live.get_mut() {
-            *self.peak_live.get_mut() = live;
-        }
-        if self.budget_limited {
-            self.budget.note_alloc(live);
-        }
-        id.complement_if(flip)
-    }
-
-    /// The quiesce-time [`BddManager::mk`]: same hash-consing semantics,
+    /// The quiesce-time `mk` of sifting: same hash-consing semantics,
     /// but through `get_mut` accessors — no shard lock, no atomic
     /// read-modify-writes — which is what keeps sifting's swap storm
     /// (thousands of node rewrites per pass) at its pre-concurrent cost.
@@ -1230,9 +1111,9 @@ mod tests {
     fn redundant_node_elimination() {
         let mut m = BddManager::new();
         let _x = m.new_var("x");
-        let r = m.mk(0, Bdd::TRUE, Bdd::TRUE);
+        let r = crate::access::mk(&mut m, 0, Bdd::TRUE, Bdd::TRUE);
         assert_eq!(r, Bdd::TRUE);
-        let r = m.mk(0, Bdd::FALSE, Bdd::FALSE);
+        let r = crate::access::mk(&mut m, 0, Bdd::FALSE, Bdd::FALSE);
         assert_eq!(r, Bdd::FALSE);
         assert_eq!(m.live_nodes(), 0);
     }
@@ -1243,9 +1124,9 @@ mod tests {
         let _x = m.new_var("x");
         // mk(x, FALSE, TRUE) (the positive literal) must store the
         // regular-lo node and return its complement.
-        let pos = m.mk(0, Bdd::FALSE, Bdd::TRUE);
+        let pos = crate::access::mk(&mut m, 0, Bdd::FALSE, Bdd::TRUE);
         assert!(pos.is_complemented());
-        let neg = m.mk(0, Bdd::TRUE, Bdd::FALSE);
+        let neg = crate::access::mk(&mut m, 0, Bdd::TRUE, Bdd::FALSE);
         assert!(!neg.is_complemented());
         assert_eq!(pos, neg.complement());
         assert_eq!(m.live_nodes(), 1);

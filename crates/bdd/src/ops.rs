@@ -7,7 +7,12 @@
 //! complement-*normalized* keys (operand order for the symmetric ops,
 //! tags stripped where the operation commutes with negation), so `f∧g`,
 //! `g∧f`, `¬f∨¬g` and `¬(f∧g)` all resolve through a single cache line.
+//!
+//! The recursive bodies are written once in [`crate::Access`]; the
+//! `&self` methods here are their shared-mode spelling.
 
+use crate::access::raw::Raw;
+use crate::access::Access;
 use crate::manager::{BddManager, BinOp};
 use crate::node::Bdd;
 
@@ -33,41 +38,7 @@ impl BddManager {
 
     /// Conjunction `f ∧ g`.
     pub fn and(&self, f: Bdd, g: Bdd) -> Bdd {
-        // Terminal and trivial cases.
-        if f.is_false() || g.is_false() {
-            return Bdd::FALSE;
-        }
-        if f.is_true() {
-            return g;
-        }
-        if g.is_true() || f == g {
-            return f;
-        }
-        if f == g.complement() {
-            return Bdd::FALSE;
-        }
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.bin_get(BinOp::And, a, b) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let top = lf.min(lg);
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let lo = self.and(f0, g0);
-        let hi = self.and(f1, g1);
-        let r = self.mk(top, lo, hi);
-        // A trip below this frame means `lo`/`hi` may be inert garbage:
-        // never publish such a result to the memo table.
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.bin_insert(BinOp::And, a, b, r);
-        r
+        Access::and(&mut { self }, f, g)
     }
 
     /// Disjunction `f ∨ g`, by De Morgan through the `and` cache:
@@ -82,38 +53,7 @@ impl BddManager {
     /// operands are stripped to their regular handles before the cache is
     /// consulted and the combined tag parity is re-applied to the result.
     pub fn xor(&self, f: Bdd, g: Bdd) -> Bdd {
-        let parity = f.is_complemented() ^ g.is_complemented();
-        let (f, g) = (f.regular(), g.regular());
-        if f == g {
-            return Bdd::TRUE.complement_if(!parity);
-        }
-        // After regularization the only reachable terminal is TRUE.
-        if f.is_true() {
-            return g.complement_if(!parity);
-        }
-        if g.is_true() {
-            return f.complement_if(!parity);
-        }
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.bin_get(BinOp::Xor, a, b) {
-            return r.complement_if(parity);
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let top = lf.min(lg);
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let lo = self.xor(f0, g0);
-        let hi = self.xor(f1, g1);
-        let r = self.mk(top, lo, hi);
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.bin_insert(BinOp::Xor, a, b, r);
-        r.complement_if(parity)
+        Access::xor(&mut { self }, f, g)
     }
 
     /// Set difference `f ∧ ¬g` — the idiom used throughout the traversal
@@ -140,263 +80,7 @@ impl BddManager {
     /// branch factors out (`ite(f,¬g,¬h) = ¬ite(f,g,h)`), so the cached
     /// key always has a regular `f` and a regular `g`.
     pub fn ite(&self, f: Bdd, g: Bdd, h: Bdd) -> Bdd {
-        // Terminal cases.
-        if f.is_true() {
-            return g;
-        }
-        if f.is_false() {
-            return h;
-        }
-        if g == h {
-            return g;
-        }
-        if g == h.complement() {
-            // ite(f, g, ¬g) = f ↔ g.
-            return self.iff(f, g);
-        }
-        // Operand coincidences route into the shared and-cache.
-        if f == g {
-            return self.or(f, h); // ite(f, f, h)
-        }
-        if f == g.complement() {
-            return self.and(f.complement(), h); // ite(f, ¬f, h)
-        }
-        if f == h {
-            return self.and(f, g); // ite(f, g, f)
-        }
-        if f == h.complement() {
-            return self.or(f.complement(), g); // ite(f, g, ¬f)
-        }
-        if g.is_true() {
-            return self.or(f, h);
-        }
-        if g.is_false() {
-            return self.and(f.complement(), h);
-        }
-        if h.is_false() {
-            return self.and(f, g);
-        }
-        if h.is_true() {
-            return self.or(f.complement(), g);
-        }
-        // Normalization 1: regular condition.
-        let (f, g, h) = if f.is_complemented() { (f.complement(), h, g) } else { (f, g, h) };
-        // Normalization 2: regular then-branch; the tag moves to the result.
-        let flip = g.is_complemented();
-        let (g, h) = if flip { (g.complement(), h.complement()) } else { (g, h) };
-        if let Some(r) = self.caches.ite_get(f, g, h) {
-            return r.complement_if(flip);
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let (lh, he0, he1) = self.peek(h);
-        let top = lf.min(lg).min(lh);
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let (h0, h1) = if lh == top { (he0, he1) } else { (h, h) };
-        let lo = self.ite(f0, g0, h0);
-        let hi = self.ite(f1, g1, h1);
-        let r = self.mk(top, lo, hi);
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.ite_insert(f, g, h, r);
-        r.complement_if(flip)
-    }
-
-    /// Exclusive-mode [`BddManager::and`]: identical recursion, results
-    /// and memoisation, but every node is hash-consed through the
-    /// exclusive `mk` (plain bump allocation, `get_mut` on the
-    /// unique-table shard) and every cache publication is a plain
-    /// (non-release) store. The `&mut` receiver is the entire
-    /// safety argument — borrowck proves no concurrent reader exists, so
-    /// the atomic-publication protocol of the shared path is pure
-    /// overhead here. Cache *probes* stay on the shared read path (an
-    /// acquire load is a plain load on the architectures we target), so
-    /// both paths populate and consume the same memo tables.
-    pub fn and_x(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        if f.is_false() || g.is_false() {
-            return Bdd::FALSE;
-        }
-        if f.is_true() {
-            return g;
-        }
-        if g.is_true() || f == g {
-            return f;
-        }
-        if f == g.complement() {
-            return Bdd::FALSE;
-        }
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.bin_get(BinOp::And, a, b) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let top = lf.min(lg);
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let lo = self.and_x(f0, g0);
-        let hi = self.and_x(f1, g1);
-        let r = self.mk_x(top, lo, hi);
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.bin_insert_mut(BinOp::And, a, b, r);
-        r
-    }
-
-    /// Exclusive-mode [`BddManager::or`]: De Morgan through
-    /// [`BddManager::and_x`].
-    pub fn or_x(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        self.and_x(f.complement(), g.complement()).complement()
-    }
-
-    /// Exclusive-mode [`BddManager::diff`]: `f ∧ ¬g` through
-    /// [`BddManager::and_x`].
-    pub fn diff_x(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        self.and_x(f, g.complement())
-    }
-
-    /// Exclusive-mode [`BddManager::implies`].
-    pub fn implies_x(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        self.and_x(f, g.complement()).complement()
-    }
-
-    /// Exclusive-mode [`BddManager::iff`].
-    pub fn iff_x(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        self.xor_x(f, g).complement()
-    }
-
-    /// Exclusive-mode [`BddManager::xor`] — see [`BddManager::and_x`]
-    /// for the mode contract.
-    pub fn xor_x(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        let parity = f.is_complemented() ^ g.is_complemented();
-        let (f, g) = (f.regular(), g.regular());
-        if f == g {
-            return Bdd::TRUE.complement_if(!parity);
-        }
-        if f.is_true() {
-            return g.complement_if(!parity);
-        }
-        if g.is_true() {
-            return f.complement_if(!parity);
-        }
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.bin_get(BinOp::Xor, a, b) {
-            return r.complement_if(parity);
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let top = lf.min(lg);
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let lo = self.xor_x(f0, g0);
-        let hi = self.xor_x(f1, g1);
-        let r = self.mk_x(top, lo, hi);
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.bin_insert_mut(BinOp::Xor, a, b, r);
-        r.complement_if(parity)
-    }
-
-    /// Exclusive-mode [`BddManager::ite`] — see [`BddManager::and_x`]
-    /// for the mode contract.
-    pub fn ite_x(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Bdd {
-        if f.is_true() {
-            return g;
-        }
-        if f.is_false() {
-            return h;
-        }
-        if g == h {
-            return g;
-        }
-        if g == h.complement() {
-            return self.iff_x(f, g);
-        }
-        if f == g {
-            return self.or_x(f, h);
-        }
-        if f == g.complement() {
-            return self.and_x(f.complement(), h);
-        }
-        if f == h {
-            return self.and_x(f, g);
-        }
-        if f == h.complement() {
-            return self.or_x(f.complement(), g);
-        }
-        if g.is_true() {
-            return self.or_x(f, h);
-        }
-        if g.is_false() {
-            return self.and_x(f.complement(), h);
-        }
-        if h.is_false() {
-            return self.and_x(f, g);
-        }
-        if h.is_true() {
-            return self.or_x(f.complement(), g);
-        }
-        let (f, g, h) = if f.is_complemented() { (f.complement(), h, g) } else { (f, g, h) };
-        let flip = g.is_complemented();
-        let (g, h) = if flip { (g.complement(), h.complement()) } else { (g, h) };
-        if let Some(r) = self.caches.ite_get(f, g, h) {
-            return r.complement_if(flip);
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let (lh, he0, he1) = self.peek(h);
-        let top = lf.min(lg).min(lh);
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let (h0, h1) = if lh == top { (he0, he1) } else { (h, h) };
-        let lo = self.ite_x(f0, g0, h0);
-        let hi = self.ite_x(f1, g1, h1);
-        let r = self.mk_x(top, lo, hi);
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.ite_insert_mut(f, g, h, r);
-        r.complement_if(flip)
-    }
-
-    /// Exclusive-mode [`BddManager::and_many`].
-    pub fn and_many_x(&mut self, fs: &[Bdd]) -> Bdd {
-        let mut acc = Bdd::TRUE;
-        for &f in fs {
-            acc = self.and_x(acc, f);
-            if acc.is_false() {
-                break;
-            }
-        }
-        acc
-    }
-
-    /// Exclusive-mode [`BddManager::or_many`].
-    pub fn or_many_x(&mut self, fs: &[Bdd]) -> Bdd {
-        let mut acc = Bdd::FALSE;
-        for &f in fs {
-            acc = self.or_x(acc, f);
-            if acc.is_true() {
-                break;
-            }
-        }
-        acc
+        Access::ite(&mut { self }, f, g, h)
     }
 
     /// Functional composition: substitutes `g` for variable `v` in `f`
@@ -477,7 +161,7 @@ impl BddManager {
             return true;
         }
         if !self.inert() {
-            self.caches.bin_insert(BinOp::And, a, b, Bdd::FALSE);
+            Raw::bin_insert(&mut { self }, BinOp::And, a, b, Bdd::FALSE);
         }
         false
     }
@@ -650,44 +334,6 @@ mod tests {
         assert_eq!(h, expected);
         // Variables not in the support are untouched.
         assert_eq!(m.compose(f, z, vy), f);
-    }
-
-    #[test]
-    fn exclusive_ops_return_the_shared_canonical_handles() {
-        // The fast-path contract: `*_x` must produce bit-identical
-        // handles to the shared ops — same hash-consing, same
-        // complement normal form, same memo entries — regardless of
-        // which path ran first and populated the caches.
-        let mut m = BddManager::new();
-        let vars = m.new_vars("x", 6);
-        let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
-        for i in 0..6 {
-            for j in 0..6 {
-                let (a, b) = (lits[i], lits[j].complement());
-                let shared_and = m.and(a, b);
-                assert_eq!(m.and_x(a, b), shared_and);
-                let excl_xor = m.xor_x(a, b);
-                assert_eq!(m.xor(a, b), excl_xor);
-                let c = lits[(i + j) % 6];
-                let shared_ite = m.ite(shared_and, excl_xor, c);
-                assert_eq!(m.ite_x(shared_and, excl_xor, c), shared_ite);
-                let excl_or = m.or_x(shared_and, c);
-                assert_eq!(m.or(shared_and, c), excl_or);
-            }
-        }
-        m.check_invariants();
-    }
-
-    #[test]
-    fn exclusive_ops_stay_inert_after_a_trip() {
-        let mut m = BddManager::new();
-        let vars = m.new_vars("x", 8);
-        let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
-        m.budget().trip(crate::ResourceError::ArenaExhausted);
-        // Tripped managers answer FALSE without memoising garbage.
-        assert_eq!(m.and_x(lits[0], lits[1]), Bdd::FALSE);
-        assert_eq!(m.xor_x(lits[2], lits[3]), Bdd::FALSE);
-        assert_eq!(m.ite_x(lits[4], lits[5], lits[6]), Bdd::FALSE);
     }
 
     #[test]

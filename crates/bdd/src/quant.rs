@@ -12,8 +12,12 @@
 //! regular handles only, and universal abstraction is the free dual
 //! `∀c.f = ¬∃c.¬f` — one recursion serves both quantifiers through one
 //! cache.
+//!
+//! The recursions are written once in [`crate::Access`]; the `&self`
+//! methods here are their shared-mode spelling.
 
-use crate::manager::{BddManager, BinOp};
+use crate::access::Access;
+use crate::manager::BddManager;
 use crate::node::{Bdd, Literal, Var, TERMINAL_LEVEL};
 
 impl BddManager {
@@ -95,7 +99,7 @@ impl BddManager {
     /// literal), in one arena read; `TRUE` reports [`TERMINAL_LEVEL`]
     /// and itself. The shared skip-step of every quantifier recursion.
     #[inline]
-    fn cube_peek(&self, c: Bdd) -> (crate::node::Level, Bdd) {
+    pub(crate) fn cube_peek(&self, c: Bdd) -> (crate::node::Level, Bdd) {
         if c.is_terminal() {
             return (TERMINAL_LEVEL, c);
         }
@@ -121,50 +125,7 @@ impl BddManager {
     ///
     /// Panics in debug builds if `c` is not a cube.
     pub fn cofactor_cube(&self, f: Bdd, c: Bdd) -> Bdd {
-        // A tripped manager may be handed garbage built by inert ops; the
-        // recursion below bails out inert before touching it.
-        debug_assert!(self.inert() || self.is_cube(c), "cofactor requires a cube");
-        let tag = f.is_complemented();
-        self.cofactor_rec(f.regular(), c).complement_if(tag)
-    }
-
-    /// Recursive cofactor over a *regular* `f`.
-    fn cofactor_rec(&self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(!f.is_complemented());
-        if c.is_true() || f.is_terminal() {
-            return f;
-        }
-        if let Some(r) = self.caches.bin_get(BinOp::CofactorCube, f, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (fl, flo, fhi) = self.peek(f);
-        let (cl, clo, chi) = self.peek(c);
-        // `c` is a cube: its tail is whichever child is not FALSE, and
-        // `clo` doubles as the polarity of the top literal.
-        let next = if clo.is_false() { chi } else { clo };
-        let r = if cl < fl {
-            // `f` does not depend on the cube's top variable: skip it.
-            self.cofactor_rec(f, next)
-        } else if cl == fl {
-            let branch = if clo.is_false() { fhi } else { flo };
-            let tag = branch.is_complemented();
-            self.cofactor_rec(branch.regular(), next).complement_if(tag)
-        } else {
-            let hi_tag = fhi.is_complemented();
-            let lo = self.cofactor_rec(flo, c);
-            let hi = self.cofactor_rec(fhi.regular(), c).complement_if(hi_tag);
-            self.mk(fl, lo, hi)
-        };
-        // Budget trip below this frame → sub-results may be inert
-        // garbage: never publish them to the memo table.
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.bin_insert(BinOp::CofactorCube, f, c, r);
-        r
+        Access::cofactor_cube(&mut { self }, f, c)
     }
 
     /// Existential abstraction `∃ vars(c) . f` where `c` is a (positive)
@@ -183,58 +144,13 @@ impl BddManager {
     /// assert_eq!(m.exists(f, cube), vy); // ∃x. x∧y = y
     /// ```
     pub fn exists(&self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        self.exists_rec(f, c)
-    }
-
-    fn exists_rec(&self, f: Bdd, mut c: Bdd) -> Bdd {
-        if f.is_terminal() {
-            return f;
-        }
-        let (fl, flo, fhi) = self.peek(f);
-        // Skip cube variables above the root of f.
-        let (cl, ctail) = loop {
-            let (cl, tail) = self.cube_peek(c);
-            if cl >= fl {
-                break (cl, tail);
-            }
-            c = tail;
-        };
-        if c.is_true() {
-            return f;
-        }
-        if let Some(r) = self.caches.bin_get(BinOp::Exists, f, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let r = if cl == fl {
-            let lo = self.exists_rec(flo, ctail);
-            if lo.is_true() {
-                // Early termination: the disjunction is already TRUE.
-                Bdd::TRUE
-            } else {
-                let hi = self.exists_rec(fhi, ctail);
-                self.or(lo, hi)
-            }
-        } else {
-            let lo = self.exists_rec(flo, c);
-            let hi = self.exists_rec(fhi, c);
-            self.mk(fl, lo, hi)
-        };
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.bin_insert(BinOp::Exists, f, c, r);
-        r
+        Access::exists(&mut { self }, f, c)
     }
 
     /// Universal abstraction `∀ vars(c) . f`, as the free complement dual
     /// `¬∃ vars(c) . ¬f` — no recursion or cache of its own.
     pub fn forall(&self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        self.exists_rec(f.complement(), c).complement()
+        self.exists(f.complement(), c).complement()
     }
 
     /// Fused relational product `∃ vars(c) . (f ∧ g)`.
@@ -242,68 +158,7 @@ impl BddManager {
     /// Avoids materialising the intermediate conjunction, which is the
     /// classic optimisation for image computations.
     pub fn and_exists(&self, f: Bdd, g: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        self.and_exists_rec(f, g, c)
-    }
-
-    fn and_exists_rec(&self, f: Bdd, g: Bdd, c: Bdd) -> Bdd {
-        if f.is_false() || g.is_false() || f == g.complement() {
-            return Bdd::FALSE;
-        }
-        if f.is_true() || f == g {
-            return self.exists_rec(g, c);
-        }
-        if g.is_true() {
-            return self.exists_rec(f, c);
-        }
-        if c.is_true() {
-            return self.and(f, g);
-        }
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.and_exists_get(a, b, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let top = lf.min(lg);
-        // Skip cube variables above both operands.
-        let mut c2 = c;
-        let (cl, ctail) = loop {
-            let (cl, tail) = self.cube_peek(c2);
-            if cl >= top {
-                break (cl, tail);
-            }
-            c2 = tail;
-        };
-        if c2.is_true() {
-            let r = self.and(f, g);
-            self.caches.and_exists_insert(a, b, c, r);
-            return r;
-        }
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let r = if cl == top {
-            let lo = self.and_exists_rec(f0, g0, ctail);
-            if lo.is_true() {
-                // Early termination: the disjunction is already TRUE.
-                Bdd::TRUE
-            } else {
-                let hi = self.and_exists_rec(f1, g1, ctail);
-                self.or(lo, hi)
-            }
-        } else {
-            let lo = self.and_exists_rec(f0, g0, c2);
-            let hi = self.and_exists_rec(f1, g1, c2);
-            self.mk(top, lo, hi)
-        };
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.and_exists_insert(a, b, c, r);
-        r
+        Access::and_exists(&mut { self }, f, g, c)
     }
 
     /// Cube substitution `(f|before) ∧ after`: restricts `f` by the
@@ -342,270 +197,12 @@ impl BddManager {
     /// Panics in debug builds when `before` and `after` are not cubes
     /// over one variable set.
     pub fn substitute_cube(&self, f: Bdd, before: Bdd, after: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.same_cube_support(before, after));
-        self.substitute_rec(f, before, after)
+        Access::substitute_cube(&mut { self }, f, before, after)
     }
 
     /// `true` when `before` and `after` are cubes over one variable set.
-    fn same_cube_support(&self, before: Bdd, after: Bdd) -> bool {
+    pub(crate) fn same_cube_support(&self, before: Bdd, after: Bdd) -> bool {
         self.is_cube(before) && self.is_cube(after) && self.support(before) == self.support(after)
-    }
-
-    fn substitute_rec(&self, f: Bdd, before: Bdd, after: Bdd) -> Bdd {
-        if f.is_false() || before.is_true() {
-            return f;
-        }
-        if f.is_true() {
-            return after;
-        }
-        if let Some(r) = self.caches.substitute_get(f, before, after) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (fl, f0, f1) = self.peek(f);
-        let (cl, b0, b1) = self.peek(before);
-        let r = if fl < cl {
-            // Above the cubes: keep f's branching structure.
-            let lo = self.substitute_rec(f0, before, after);
-            let hi = self.substitute_rec(f1, before, after);
-            self.mk(fl, lo, hi)
-        } else {
-            // `before`'s top literal picks f's branch (f itself when f
-            // skips the variable); `after`'s literal is re-imposed.
-            let (_, a0, a1) = self.peek(after);
-            let (branch, btail) = match (b0.is_false(), fl == cl) {
-                (true, true) => (f1, b1),
-                (false, true) => (f0, b0),
-                (true, false) => (f, b1),
-                (false, false) => (f, b0),
-            };
-            if a0.is_false() {
-                let sub = self.substitute_rec(branch, btail, a1);
-                self.mk(cl, Bdd::FALSE, sub)
-            } else {
-                let sub = self.substitute_rec(branch, btail, a0);
-                self.mk(cl, sub, Bdd::FALSE)
-            }
-        };
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.substitute_insert(f, before, after, r);
-        r
-    }
-
-    /// Exclusive-mode [`BddManager::cofactor_cube`] — same recursion,
-    /// results and memo keys, but nodes and cache entries are written
-    /// through the `&mut`-proven plain-store path (see
-    /// [`BddManager::and_x`] for the mode contract).
-    pub fn cofactor_cube_x(&mut self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "cofactor requires a cube");
-        let tag = f.is_complemented();
-        self.cofactor_rec_x(f.regular(), c).complement_if(tag)
-    }
-
-    fn cofactor_rec_x(&mut self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(!f.is_complemented());
-        if c.is_true() || f.is_terminal() {
-            return f;
-        }
-        if let Some(r) = self.caches.bin_get(BinOp::CofactorCube, f, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (fl, flo, fhi) = self.peek(f);
-        let (cl, clo, chi) = self.peek(c);
-        let next = if clo.is_false() { chi } else { clo };
-        let r = if cl < fl {
-            self.cofactor_rec_x(f, next)
-        } else if cl == fl {
-            let branch = if clo.is_false() { fhi } else { flo };
-            let tag = branch.is_complemented();
-            self.cofactor_rec_x(branch.regular(), next).complement_if(tag)
-        } else {
-            let hi_tag = fhi.is_complemented();
-            let lo = self.cofactor_rec_x(flo, c);
-            let hi = self.cofactor_rec_x(fhi.regular(), c).complement_if(hi_tag);
-            self.mk_x(fl, lo, hi)
-        };
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.bin_insert_mut(BinOp::CofactorCube, f, c, r);
-        r
-    }
-
-    /// Exclusive-mode [`BddManager::exists`] — see [`BddManager::and_x`]
-    /// for the mode contract.
-    pub fn exists_x(&mut self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        self.exists_rec_x(f, c)
-    }
-
-    fn exists_rec_x(&mut self, f: Bdd, mut c: Bdd) -> Bdd {
-        if f.is_terminal() {
-            return f;
-        }
-        let (fl, flo, fhi) = self.peek(f);
-        let (cl, ctail) = loop {
-            let (cl, tail) = self.cube_peek(c);
-            if cl >= fl {
-                break (cl, tail);
-            }
-            c = tail;
-        };
-        if c.is_true() {
-            return f;
-        }
-        if let Some(r) = self.caches.bin_get(BinOp::Exists, f, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let r = if cl == fl {
-            let lo = self.exists_rec_x(flo, ctail);
-            if lo.is_true() {
-                Bdd::TRUE
-            } else {
-                let hi = self.exists_rec_x(fhi, ctail);
-                self.or_x(lo, hi)
-            }
-        } else {
-            let lo = self.exists_rec_x(flo, c);
-            let hi = self.exists_rec_x(fhi, c);
-            self.mk_x(fl, lo, hi)
-        };
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.bin_insert_mut(BinOp::Exists, f, c, r);
-        r
-    }
-
-    /// Exclusive-mode [`BddManager::forall`].
-    pub fn forall_x(&mut self, f: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        self.exists_rec_x(f.complement(), c).complement()
-    }
-
-    /// Exclusive-mode [`BddManager::and_exists`] — see
-    /// [`BddManager::and_x`] for the mode contract.
-    pub fn and_exists_x(&mut self, f: Bdd, g: Bdd, c: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.is_cube(c), "quantification prefix must be a cube");
-        self.and_exists_rec_x(f, g, c)
-    }
-
-    fn and_exists_rec_x(&mut self, f: Bdd, g: Bdd, c: Bdd) -> Bdd {
-        if f.is_false() || g.is_false() || f == g.complement() {
-            return Bdd::FALSE;
-        }
-        if f.is_true() || f == g {
-            return self.exists_rec_x(g, c);
-        }
-        if g.is_true() {
-            return self.exists_rec_x(f, c);
-        }
-        if c.is_true() {
-            return self.and_x(f, g);
-        }
-        let (a, b) = (f.min(g), f.max(g));
-        if let Some(r) = self.caches.and_exists_get(a, b, c) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (lf, fe0, fe1) = self.peek(f);
-        let (lg, ge0, ge1) = self.peek(g);
-        let top = lf.min(lg);
-        let mut c2 = c;
-        let (cl, ctail) = loop {
-            let (cl, tail) = self.cube_peek(c2);
-            if cl >= top {
-                break (cl, tail);
-            }
-            c2 = tail;
-        };
-        if c2.is_true() {
-            let r = self.and_x(f, g);
-            self.caches.and_exists_insert_mut(a, b, c, r);
-            return r;
-        }
-        let (f0, f1) = if lf == top { (fe0, fe1) } else { (f, f) };
-        let (g0, g1) = if lg == top { (ge0, ge1) } else { (g, g) };
-        let r = if cl == top {
-            let lo = self.and_exists_rec_x(f0, g0, ctail);
-            if lo.is_true() {
-                Bdd::TRUE
-            } else {
-                let hi = self.and_exists_rec_x(f1, g1, ctail);
-                self.or_x(lo, hi)
-            }
-        } else {
-            let lo = self.and_exists_rec_x(f0, g0, c2);
-            let hi = self.and_exists_rec_x(f1, g1, c2);
-            self.mk_x(top, lo, hi)
-        };
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.and_exists_insert_mut(a, b, c, r);
-        r
-    }
-
-    /// Exclusive-mode [`BddManager::substitute_cube`] — same recursion,
-    /// results and memo keys (see [`BddManager::and_x`] for the mode
-    /// contract).
-    pub fn substitute_cube_x(&mut self, f: Bdd, before: Bdd, after: Bdd) -> Bdd {
-        debug_assert!(self.inert() || self.same_cube_support(before, after));
-        self.substitute_rec_x(f, before, after)
-    }
-
-    fn substitute_rec_x(&mut self, f: Bdd, before: Bdd, after: Bdd) -> Bdd {
-        if f.is_false() || before.is_true() {
-            return f;
-        }
-        if f.is_true() {
-            return after;
-        }
-        if let Some(r) = self.caches.substitute_get(f, before, after) {
-            return r;
-        }
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        let (fl, f0, f1) = self.peek(f);
-        let (cl, b0, b1) = self.peek(before);
-        let r = if fl < cl {
-            let lo = self.substitute_rec_x(f0, before, after);
-            let hi = self.substitute_rec_x(f1, before, after);
-            self.mk_x(fl, lo, hi)
-        } else {
-            let (_, a0, a1) = self.peek(after);
-            let (branch, btail) = match (b0.is_false(), fl == cl) {
-                (true, true) => (f1, b1),
-                (false, true) => (f0, b0),
-                (true, false) => (f, b1),
-                (false, false) => (f, b0),
-            };
-            if a0.is_false() {
-                let sub = self.substitute_rec_x(branch, btail, a1);
-                self.mk_x(cl, Bdd::FALSE, sub)
-            } else {
-                let sub = self.substitute_rec_x(branch, btail, a0);
-                self.mk_x(cl, sub, Bdd::FALSE)
-            }
-        };
-        if self.inert() {
-            return Bdd::FALSE;
-        }
-        self.caches.substitute_insert_mut(f, before, after, r);
-        r
     }
 }
 
@@ -776,79 +373,6 @@ mod tests {
         let cz = m.vars_cube(&[z]);
         assert_eq!(m.exists(f, cz), f);
         assert_eq!(m.forall(f, cz), f);
-    }
-
-    #[test]
-    fn exclusive_quantifiers_return_the_shared_canonical_handles() {
-        let mut m = BddManager::new();
-        let vars: Vec<Var> = (0..8).map(|i| m.new_var(format!("x{i}"))).collect();
-        let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
-        let t0 = m.and(lits[0], lits[3]);
-        let t1 = m.xor(lits[1], lits[5]);
-        let f = m.or(t0, t1);
-        let t2 = m.and(lits[2], lits[5]);
-        let g = m.xor(t2, lits[6]);
-        let c = m.vars_cube(&[vars[1], vars[3], vars[5]]);
-        let shared_ex = m.exists(f, c);
-        assert_eq!(m.exists_x(f, c), shared_ex);
-        let excl_fa = m.forall_x(g, c);
-        assert_eq!(m.forall(g, c), excl_fa);
-        let shared_ae = m.and_exists(f, g, c);
-        assert_eq!(m.and_exists_x(f, g, c), shared_ae);
-        let excl_cof = m.cofactor_cube_x(f, c);
-        assert_eq!(m.cofactor_cube(f, c), excl_cof);
-        m.check_invariants();
-    }
-
-    /// The cube substitution of either mode returns the same handle and
-    /// leaves the same arena behind, whichever mode runs first: two
-    /// identically built managers, one starting shared and one starting
-    /// exclusive, must agree handle for handle.
-    #[test]
-    fn exclusive_cube_substitution_agrees_whichever_mode_runs_first() {
-        let build = || {
-            let mut m = BddManager::new();
-            let vars: Vec<Var> = (0..8).map(|i| m.new_var(format!("x{i}"))).collect();
-            let lits: Vec<Bdd> = vars.iter().map(|&v| m.var(v)).collect();
-            let t0 = m.and(lits[0], lits[3]);
-            let t1 = m.xor(lits[1], lits[5]);
-            let t2 = m.or(t0, t1);
-            let f = m.xor(t2, lits[6]);
-            let before = m.cube(&[
-                Literal::positive(vars[1]),
-                Literal::negative(vars[3]),
-                Literal::positive(vars[5]),
-            ]);
-            let after = m.cube(&[
-                Literal::negative(vars[1]),
-                Literal::positive(vars[3]),
-                Literal::positive(vars[5]),
-            ]);
-            (m, f, before, after)
-        };
-        let (mut shared_first, f, before, after) = build();
-        let (mut exclusive_first, ..) = build();
-        let mut results = Vec::new();
-        for g in [f, f.complement()] {
-            let a = shared_first.substitute_cube(g, before, after);
-            let b = exclusive_first.substitute_cube_x(g, before, after);
-            assert_eq!(a, b, "first call differs between modes");
-            assert_eq!(shared_first.live_nodes(), exclusive_first.live_nodes());
-            // The second mode on each manager hits the first one's memo.
-            assert_eq!(shared_first.substitute_cube_x(g, before, after), a);
-            assert_eq!(exclusive_first.substitute_cube(g, before, after), a);
-            assert_eq!(shared_first.live_nodes(), exclusive_first.live_nodes());
-            results.push(a);
-        }
-        // And both equal the unfused image `(∃c. g ∧ before) ∧ after`.
-        let m = &shared_first;
-        let c = m.vars_cube(&m.support(before));
-        for (g, r) in [f, f.complement()].into_iter().zip(results) {
-            let moved = m.and_exists(g, before, c);
-            assert_eq!(m.and(moved, after), r);
-        }
-        shared_first.check_invariants();
-        exclusive_first.check_invariants();
     }
 
     #[test]

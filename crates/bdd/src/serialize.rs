@@ -605,7 +605,7 @@ impl BddManager {
             );
             let lo = dec(&handles, lo);
             let hi = dec(&handles, hi);
-            handles.push(self.mk(level as Level, lo, hi));
+            handles.push(crate::access::mk(&mut { self }, level as Level, lo, hi));
         }
         dec(&handles, s.root)
     }

@@ -2,7 +2,7 @@
 //! semantics, plus the algebraic laws the symbolic algorithms rely on.
 
 use proptest::prelude::*;
-use stgcheck_bdd::{Bdd, BddManager, BoolExpr, Literal, Var};
+use stgcheck_bdd::{Access, Bdd, BddManager, BoolExpr, Literal, Var};
 
 const NVARS: usize = 6;
 
@@ -379,7 +379,7 @@ proptest! {
             let moved = m.and_exists(g, before, c);
             let reference = m.and(moved, after);
             prop_assert_eq!(m.substitute_cube(g, before, after), reference);
-            prop_assert_eq!(m.substitute_cube_x(g, before, after), reference);
+            prop_assert_eq!(Access::substitute_cube(&mut m, g, before, after), reference);
         }
     }
 

@@ -46,10 +46,11 @@
 use std::collections::BTreeSet;
 use std::sync::mpsc;
 
-use stgcheck_bdd::{Bdd, BddManager, Budget, Literal, ResourceError, SerializedBdd, Var};
+use stgcheck_bdd::{Access, Bdd, BddManager, Budget, Literal, ResourceError, SerializedBdd, Var};
 use stgcheck_petri::TransId;
 
 use crate::encode::SymbolicStg;
+use crate::image::Firing;
 use crate::traverse::TraversalStrategy;
 
 /// How many live nodes trigger a garbage collection between steps (shared
@@ -191,57 +192,6 @@ impl std::str::FromStr for ReorderMode {
     }
 }
 
-/// Which BDD-manager entry points an engine run uses.
-///
-/// Since PR 5 the manager is `Sync`: every operation publishes nodes and
-/// memo entries with release/acquire atomics so concurrent workers can
-/// share it. That protocol is pure overhead when only one thread touches
-/// the manager — which is every `jobs == 1` run and every sequential
-/// segment of a parallel run. The exclusive mode routes those segments
-/// through `&mut self` twins (`and_x`, `exists_x`, …) that use plain
-/// stores and `Mutex::get_mut`, with borrowck (not a fence) as the
-/// safety argument. Results are bit-identical either way; this knob only
-/// changes *how* they are computed.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum ExecMode {
-    /// Pick automatically: exclusive whenever the engine's effective
-    /// worker count is 1, shared otherwise. The default.
-    #[default]
-    Auto,
-    /// Force the `&mut self` fast paths (only honoured where the engine
-    /// actually holds exclusive access; shared-manager parallel sections
-    /// always use the atomic paths regardless).
-    Exclusive,
-    /// Force the atomic shared paths even single-threaded — the PR 5
-    /// baseline, kept reachable for A/B benchmarking.
-    Shared,
-}
-
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ExecMode::Auto => "auto",
-            ExecMode::Exclusive => "exclusive",
-            ExecMode::Shared => "shared",
-        })
-    }
-}
-
-impl std::str::FromStr for ExecMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ExecMode, String> {
-        match s {
-            "auto" => Ok(ExecMode::Auto),
-            "exclusive" | "excl" => Ok(ExecMode::Exclusive),
-            "shared" => Ok(ExecMode::Shared),
-            other => {
-                Err(format!("unknown exec mode `{other}` (expected auto, exclusive or shared)"))
-            }
-        }
-    }
-}
-
 /// Engine configuration, [`stgcheck_stg::SgOptions`]-style: a plain
 /// options struct with a sensible [`Default`], threaded through
 /// [`crate::VerifyOptions`] and the CLI.
@@ -265,15 +215,11 @@ pub struct EngineOptions {
     /// Whether [`EngineKind::ParallelSharded`] workers share the one
     /// concurrent manager (default) or own private managers.
     pub sharing: ShardSharing,
-    /// Exclusive-vs-shared manager entry points (see [`ExecMode`]).
-    /// Never part of a result-cache key: it changes how results are
-    /// computed, not what they are.
-    pub exec: ExecMode,
     /// Growth factor of the amortized GC trigger
     /// ([`stgcheck_bdd::BddManager::gc_due`]): collect only once the
     /// live count has grown this many times past the previous
-    /// collection's survivor count. Must be > 1.0; default 1.5. Like
-    /// `exec`, never part of a result-cache key.
+    /// collection's survivor count. Must be > 1.0; default 1.5. Never
+    /// part of a result-cache key.
     pub gc_growth: f64,
 }
 
@@ -286,7 +232,6 @@ impl Default for EngineOptions {
             max_cluster: 0,
             reorder: ReorderMode::default(),
             sharing: ShardSharing::default(),
-            exec: ExecMode::default(),
             gc_growth: 1.5,
         }
     }
@@ -309,20 +254,6 @@ impl EngineOptions {
             self.max_cluster
         } else {
             8
-        }
-    }
-
-    /// `true` when a sequential engine segment should take the
-    /// exclusive-mode (`&mut self`) manager entry points: forced by
-    /// [`ExecMode::Exclusive`], forbidden by [`ExecMode::Shared`], and
-    /// under [`ExecMode::Auto`] taken exactly when the run is
-    /// single-threaded — a non-parallel engine, or a parallel engine
-    /// resolved to one worker.
-    pub fn exclusive(&self) -> bool {
-        match self.exec {
-            ExecMode::Exclusive => true,
-            ExecMode::Shared => false,
-            ExecMode::Auto => self.kind != EngineKind::ParallelSharded || self.effective_jobs() < 2,
         }
     }
 }
@@ -609,70 +540,14 @@ pub(crate) fn run_fixpoint(
 }
 
 /// One δ application under the spec, confined to `within` when set.
-///
-/// `&SymbolicStg` is all it needs — the image pipeline runs entirely on
-/// the concurrent manager's shared-reference operations, which is what
-/// lets the shared-mode workers call it from many threads at once.
-fn apply_one(sym: &SymbolicStg<'_>, spec: &FixpointSpec, set: Bdd, t: TransId) -> Bdd {
-    let img = match (spec.direction, spec.marking_only) {
-        (StepDirection::Forward, false) => sym.image(set, t),
-        (StepDirection::Forward, true) => sym.image_marking(set, t),
-        (StepDirection::Backward, false) => sym.preimage(set, t),
-        (StepDirection::Backward, true) => sym.preimage_marking(set, t),
-    };
+/// Generic over the manager access mode: the sequential engines run it
+/// on the manager they hold exclusively, the shared-manager workers on
+/// `&BddManager`.
+fn apply_one<A: Access>(mgr: &mut A, spec: &FixpointSpec, firing: &Firing, set: Bdd) -> Bdd {
+    let img = firing.apply(mgr, set, spec.direction, spec.marking_only);
     match spec.within {
-        Some(w) => sym.manager().and(img, w),
+        Some(w) => mgr.and(img, w),
         None => img,
-    }
-}
-
-// Mode-dispatch helpers: one branch per step, routing to either the
-// shared (atomic-publication) or the exclusive (`&mut`, plain-store)
-// manager entry points. The exclusive side is only reachable from
-// contexts that hold `&mut SymbolicStg` — which every sequential engine
-// loop and every private-manager worker does — so the dispatch is a
-// plain bool, decided once per run by [`EngineOptions::exclusive`].
-
-/// [`apply_one`] with mode dispatch.
-fn apply_one_m(
-    sym: &mut SymbolicStg<'_>,
-    spec: &FixpointSpec,
-    set: Bdd,
-    t: TransId,
-    x: bool,
-) -> Bdd {
-    if !x {
-        return apply_one(sym, spec, set, t);
-    }
-    let img = match (spec.direction, spec.marking_only) {
-        (StepDirection::Forward, false) => sym.image_x(set, t),
-        (StepDirection::Forward, true) => sym.image_marking_x(set, t),
-        (StepDirection::Backward, false) => sym.preimage_x(set, t),
-        (StepDirection::Backward, true) => sym.preimage_marking_x(set, t),
-    };
-    match spec.within {
-        Some(w) => sym.manager_mut().and_x(img, w),
-        None => img,
-    }
-}
-
-/// Mode-dispatched disjunction on the main manager.
-fn or_m(sym: &mut SymbolicStg<'_>, a: Bdd, b: Bdd, x: bool) -> Bdd {
-    let mgr = sym.manager_mut();
-    if x {
-        mgr.or_x(a, b)
-    } else {
-        mgr.or(a, b)
-    }
-}
-
-/// Mode-dispatched set difference on the main manager.
-fn diff_m(sym: &mut SymbolicStg<'_>, a: Bdd, b: Bdd, x: bool) -> Bdd {
-    let mgr = sym.manager_mut();
-    if x {
-        mgr.diff_x(a, b)
-    } else {
-        mgr.diff(a, b)
     }
 }
 
@@ -749,7 +624,7 @@ fn run_per_transition(
     init: Bdd,
     ctl: &mut FixpointCtl,
 ) -> FixpointOutcome {
-    let x = opts.exclusive();
+    let firings: Vec<Firing> = transitions.iter().map(|&t| sym.firing(t)).collect();
     let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
     let mut rings = if spec.record_rings { vec![init] } else { Vec::new() };
     loop {
@@ -757,9 +632,9 @@ fn run_per_transition(
         let to = match opts.strategy {
             TraversalStrategy::Chained => {
                 let mut acc = from;
-                for &t in transitions {
-                    let img = apply_one_m(sym, spec, acc, t, x);
-                    acc = or_m(sym, acc, img, x);
+                for firing in &firings {
+                    let img = apply_one(sym.manager_mut(), spec, firing, acc);
+                    acc = sym.manager_mut().or(acc, img);
                     // Intermediate sets inside one chained sweep are the
                     // memory peak on deep pipelines: collect eagerly,
                     // keeping only the running accumulator.
@@ -769,9 +644,9 @@ fn run_per_transition(
             }
             TraversalStrategy::Bfs => {
                 let mut acc = from;
-                for &t in transitions {
-                    let img = apply_one_m(sym, spec, from, t, x);
-                    acc = or_m(sym, acc, img, x);
+                for firing in &firings {
+                    let img = apply_one(sym.manager_mut(), spec, firing, from);
+                    acc = sym.manager_mut().or(acc, img);
                     maybe_gc(sym, spec, &[reached, from, acc], &rings, &[]);
                 }
                 acc
@@ -789,11 +664,11 @@ fn run_per_transition(
                 stop,
             };
         }
-        let new = diff_m(sym, to, reached, x);
+        let new = sym.manager_mut().diff(to, reached);
         if new.is_false() {
             break;
         }
-        reached = or_m(sym, reached, new, x);
+        reached = sym.manager_mut().or(reached, new);
         if spec.record_rings {
             rings.push(new);
         }
@@ -881,9 +756,10 @@ pub(crate) fn build_fused_cubes(
     out
 }
 
-/// One fused δ application (forward or backward) confined to `within`.
-pub(crate) fn fused_apply(
-    sym: &SymbolicStg<'_>,
+/// One fused δ application (forward or backward) confined to `within`;
+/// generic over the manager access mode like [`apply_one`].
+pub(crate) fn fused_apply<A: Access>(
+    mgr: &mut A,
     spec: &FixpointSpec,
     cubes: &FusedCubes,
     set: Bdd,
@@ -892,33 +768,9 @@ pub(crate) fn fused_apply(
         StepDirection::Forward => (cubes.before, cubes.after),
         StepDirection::Backward => (cubes.after, cubes.before),
     };
-    let mgr = sym.manager();
     let img = mgr.substitute_cube(set, select, reimpose);
     match spec.within {
         Some(w) => mgr.and(img, w),
-        None => img,
-    }
-}
-
-/// [`fused_apply`] with mode dispatch.
-fn fused_apply_m(
-    sym: &mut SymbolicStg<'_>,
-    spec: &FixpointSpec,
-    cubes: &FusedCubes,
-    set: Bdd,
-    x: bool,
-) -> Bdd {
-    if !x {
-        return fused_apply(sym, spec, cubes, set);
-    }
-    let (select, reimpose) = match spec.direction {
-        StepDirection::Forward => (cubes.before, cubes.after),
-        StepDirection::Backward => (cubes.after, cubes.before),
-    };
-    let mgr = sym.manager_mut();
-    let img = mgr.substitute_cube_x(set, select, reimpose);
-    match spec.within {
-        Some(w) => mgr.and_x(img, w),
         None => img,
     }
 }
@@ -972,7 +824,6 @@ fn run_clustered(
         fused.iter().map(|f| sym.manager().support(f.before).into_iter().collect()).collect();
     let clusters = cluster_by_support(&supports, opts.effective_max_cluster());
     let engine_roots: Vec<Bdd> = fused.iter().flat_map(|f| [f.before, f.after]).collect();
-    let x = opts.exclusive();
     let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
     loop {
         iterations += 1;
@@ -983,10 +834,10 @@ fn run_clustered(
         for cluster in &clusters {
             let mut delta = Bdd::FALSE;
             for &i in cluster {
-                let img = fused_apply_m(sym, spec, &fused[i], acc, x);
-                delta = or_m(sym, delta, img, x);
+                let img = fused_apply(sym.manager_mut(), spec, &fused[i], acc);
+                delta = sym.manager_mut().or(delta, img);
             }
-            acc = or_m(sym, acc, delta, x);
+            acc = sym.manager_mut().or(acc, delta);
             maybe_gc(sym, spec, &[reached, acc], &[], &engine_roots);
         }
         // Pre-commit budget check — see `run_per_transition`.
@@ -999,11 +850,11 @@ fn run_clustered(
                 stop,
             };
         }
-        let new = diff_m(sym, acc, reached, x);
+        let new = sym.manager_mut().diff(acc, reached);
         if new.is_false() {
             break;
         }
-        reached = or_m(sym, reached, new, x);
+        reached = sym.manager_mut().or(reached, new);
         from = new;
         maybe_gc(sym, spec, &[reached, from], &[], &engine_roots);
         // The fused cubes are ordinary protected roots: in-place sifting
@@ -1116,7 +967,6 @@ fn run_saturation(
     // Saturation has no global frontier; a resumed snapshot seeds the
     // reached set and the sweep simply re-saturates every cluster against
     // it (already-saturated clusters converge in one pass).
-    let x = opts.exclusive();
     let (mut reached, _, mut iterations) = ctl.seed(sym, init);
     let mut pos = 0;
     while pos < schedule.len() {
@@ -1128,8 +978,8 @@ fn run_saturation(
             iterations += 1;
             let mut acc = reached;
             for &i in &clusters[c] {
-                let img = fused_apply_m(sym, spec, &fused[i], acc, x);
-                acc = or_m(sym, acc, img, x);
+                let img = fused_apply(sym.manager_mut(), spec, &fused[i], acc);
+                acc = sym.manager_mut().or(acc, img);
                 maybe_gc(sym, spec, &[reached, acc], &[], &engine_roots);
             }
             // A trip inside the sweep makes `acc` inert garbage (an OR of
@@ -1207,55 +1057,27 @@ fn run_saturation(
 // Parallel sharded engine.
 // ---------------------------------------------------------------------------
 
-/// A worker's local closure against a **private** manager: everything
-/// reachable from `from` using only the shard's transitions (chained,
-/// with the worker's own GC).
-fn shard_closure(
-    w: &mut SymbolicStg<'_>,
+/// A worker's local closure: everything reachable from `from` using
+/// only the shard's firings, chained. `collect` runs after every step
+/// with the sets still live: a private-manager worker collects garbage
+/// there, while the shared-manager workers pass a no-op — collection is
+/// a quiesce-point operation the coordinator runs between iterations,
+/// once the scoped workers have been joined.
+fn shard_closure<A: Access>(
+    mgr: &mut A,
     spec: &FixpointSpec,
-    shard: &[TransId],
+    shard: &[Firing],
     from: Bdd,
-    x: bool,
+    mut collect: impl FnMut(&mut A, &[Bdd]),
 ) -> Bdd {
     let mut reached = from;
     let mut front = from;
     loop {
         let mut acc = front;
-        for &t in shard {
-            let img = apply_one_m(w, spec, acc, t, x);
-            acc = or_m(w, acc, img, x);
-            maybe_gc(w, spec, &[reached, acc], &[], &[]);
-        }
-        let new = diff_m(w, acc, reached, x);
-        if new.is_false() {
-            return reached;
-        }
-        reached = or_m(w, reached, new, x);
-        front = new;
-        maybe_gc(w, spec, &[reached, front], &[], &[]);
-    }
-}
-
-/// A worker's local closure against the **shared** concurrent manager:
-/// same fixpoint as [`shard_closure`], but through `&SymbolicStg` — the
-/// handles it takes and returns are directly meaningful to every other
-/// thread, so nothing is serialized. No GC here: collection is a
-/// quiesce-point operation that the coordinator runs between outer
-/// iterations, once the scoped workers have been joined.
-fn shard_closure_shared(
-    sym: &SymbolicStg<'_>,
-    spec: &FixpointSpec,
-    shard: &[TransId],
-    from: Bdd,
-) -> Bdd {
-    let mgr = sym.manager();
-    let mut reached = from;
-    let mut front = from;
-    loop {
-        let mut acc = front;
-        for &t in shard {
-            let img = apply_one(sym, spec, acc, t);
+        for firing in shard {
+            let img = apply_one(mgr, spec, firing, acc);
             acc = mgr.or(acc, img);
+            collect(mgr, &[reached, acc]);
         }
         let new = mgr.diff(acc, reached);
         if new.is_false() {
@@ -1263,6 +1085,7 @@ fn shard_closure_shared(
         }
         reached = mgr.or(reached, new);
         front = new;
+        collect(mgr, &[reached, front]);
     }
 }
 
@@ -1367,15 +1190,21 @@ fn run_parallel_shared(
     jobs: usize,
     ctl: &mut FixpointCtl,
 ) -> FixpointOutcome {
-    let shards = balance_shards(sym, transitions, jobs);
+    let shards: Vec<Vec<Firing>> = balance_shards(sym, transitions, jobs)
+        .iter()
+        .map(|shard| shard.iter().map(|&t| sym.firing(t)).collect())
+        .collect();
     let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
     loop {
         iterations += 1;
-        let shared: &SymbolicStg<'_> = sym;
+        let shared: &BddManager = sym.manager();
         let parts: Vec<Bdd> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()
-                .map(|shard| scope.spawn(move || shard_closure_shared(shared, spec, shard, from)))
+                .map(|shard| {
+                    scope
+                        .spawn(move || shard_closure(&mut { shared }, spec, shard, from, |_, _| {}))
+                })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
         });
@@ -1394,18 +1223,18 @@ fn run_parallel_shared(
             };
         }
         // Workers are joined: the coordinator holds `&mut` again, so the
-        // join/commit arithmetic of this sequential segment takes the
-        // exclusive fast path (unless A/B-pinned to the shared one).
-        let xq = opts.exec != ExecMode::Shared;
+        // join/commit arithmetic of this sequential segment runs
+        // exclusive.
+        let mgr = sym.manager_mut();
         let mut to = from;
         for part in parts {
-            to = or_m(sym, to, part, xq);
+            to = mgr.or(to, part);
         }
-        let new = diff_m(sym, to, reached, xq);
+        let new = mgr.diff(to, reached);
         if new.is_false() {
             break;
         }
-        reached = or_m(sym, reached, new, xq);
+        reached = mgr.or(reached, new);
         from = new;
         // Stop-the-world quiesce point: workers are joined, the `&mut`
         // borrow is exclusive again.
@@ -1459,10 +1288,6 @@ fn run_parallel_private(
     // the node ceiling, the coordinator passing the deadline) reaches
     // every private manager at its next allocation poll.
     let budget = ctl.budget.clone();
-    // A private worker owns its manager outright, so it always qualifies
-    // for the exclusive fast path — unless the run is pinned to the shared
-    // one for A/B comparison.
-    let worker_excl = opts.exec != ExecMode::Shared;
     let gc_growth = opts.gc_growth;
     std::thread::scope(|scope| {
         let (res_tx, res_rx) = mpsc::channel::<(SerializedBdd, usize)>();
@@ -1504,7 +1329,16 @@ fn run_parallel_private(
                         gc: true,
                     };
                     let from = w.manager_mut().import_bdd(&cmd.frontier);
-                    let local = shard_closure(&mut w, &wspec, &shard, from, worker_excl);
+                    // The worker owns its manager: it runs exclusive and
+                    // collects between steps like the sequential engines.
+                    let firings: Vec<Firing> = shard.iter().map(|&t| w.firing(t)).collect();
+                    let roots: Vec<Bdd> = w.permanent_roots().into_iter().chain(within).collect();
+                    let local =
+                        shard_closure(w.manager_mut(), &wspec, &firings, from, |m, live| {
+                            if m.gc_due(GC_THRESHOLD) {
+                                m.gc(&[&roots[..], live].concat());
+                            }
+                        });
                     let out = w.manager().export_bdd(local);
                     if res_tx.send((out, w.manager().peak_live_nodes())).is_err() {
                         return;
@@ -1534,7 +1368,7 @@ fn run_parallel_private(
             for _ in 0..cmd_txs.len() {
                 let (ser, peak) = res_rx.recv().expect("worker result");
                 let part = sym.manager_mut().import_bdd(&ser);
-                to = or_m(sym, to, part, worker_excl);
+                to = sym.manager_mut().or(to, part);
                 shard_peak = shard_peak.max(peak);
             }
             // Pre-commit budget check (all worker results drained above,
@@ -1549,11 +1383,11 @@ fn run_parallel_private(
                     stop,
                 };
             }
-            let new = diff_m(sym, to, reached, worker_excl);
+            let new = sym.manager_mut().diff(to, reached);
             if new.is_false() {
                 break;
             }
-            reached = or_m(sym, reached, new, worker_excl);
+            reached = sym.manager_mut().or(reached, new);
             from = new;
             maybe_gc(sym, spec, &[reached, from], &[], &[]);
             // Sift the *main* manager only; the workers pick up the new
@@ -1609,8 +1443,8 @@ mod tests {
                         gc: true,
                     };
                     for (i, &tr) in transitions.iter().enumerate() {
-                        let a = apply_one(&sym, &spec, t.reached, tr);
-                        let b = fused_apply(&sym, &spec, &fused[i], t.reached);
+                        let a = apply_one(&mut sym.manager(), &spec, &sym.firing(tr), t.reached);
+                        let b = fused_apply(&mut sym.manager(), &spec, &fused[i], t.reached);
                         assert_eq!(
                             a,
                             b,
@@ -1645,13 +1479,13 @@ mod tests {
         let spec = FixpointSpec::forward_full();
         let xp = stg.net().trans_by_name("x+").unwrap();
         let i = transitions.iter().position(|&t| t == xp).unwrap();
-        let seq = apply_one(&sym, &spec, init, xp);
-        let fus = fused_apply(&sym, &spec, &fused[i], init);
+        let seq = apply_one(&mut sym.manager(), &spec, &sym.firing(xp), init);
+        let fus = fused_apply(&mut sym.manager(), &spec, &fused[i], init);
         assert_eq!(seq, fus);
         assert!(!fus.is_false());
         // And backward inverts it exactly.
         let back_spec = FixpointSpec { direction: StepDirection::Backward, ..spec };
-        let back = fused_apply(&sym, &back_spec, &fused[i], fus);
+        let back = fused_apply(&mut sym.manager(), &back_spec, &fused[i], fus);
         assert_eq!(back, init);
     }
 

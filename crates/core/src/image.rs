@@ -17,13 +17,62 @@
 //! Note the complete absence of next-state variables: this is the paper's
 //! key encoding trick, and the ablation benchmarks measure what it buys.
 
-use stgcheck_bdd::Bdd;
+use stgcheck_bdd::{Access, Bdd, Var};
 use stgcheck_petri::TransId;
 use stgcheck_stg::Polarity;
 
-use crate::encode::SymbolicStg;
+use crate::encode::{SymbolicStg, TransCubes};
+use crate::engine::StepDirection;
+
+/// What δ reads of one transition besides the manager: its four
+/// characteristic cubes and, for a labelled transition, the signal
+/// variable and edge. Detached from the [`SymbolicStg`] so an engine can
+/// apply it while it holds the manager exclusively.
+pub(crate) struct Firing {
+    cubes: TransCubes,
+    code: Option<(Var, Polarity)>,
+}
+
+impl Firing {
+    /// `δ(M, t)` forward, or its exact inverse backward; on the marking
+    /// variables only or on full states. Generic over the manager access
+    /// mode, so the shared and the exclusive engines run this one body.
+    pub(crate) fn apply<A: Access>(
+        &self,
+        mgr: &mut A,
+        m: Bdd,
+        direction: StepDirection,
+        marking_only: bool,
+    ) -> Bdd {
+        let c = &self.cubes;
+        // Backward runs the forward cofactor/product steps mirrored.
+        let mut steps = [c.enabled, c.no_pred, c.no_succ, c.all_succ];
+        if direction == StepDirection::Backward {
+            steps.reverse();
+        }
+        let r = mgr.cofactor_cube(m, steps[0]);
+        let r = mgr.and(r, steps[1]);
+        let r = mgr.cofactor_cube(r, steps[2]);
+        let moved = mgr.and(r, steps[3]);
+        let code = if marking_only { None } else { self.code };
+        let Some((v, polarity)) = code else { return moved };
+        // Forward a+ selects a = 0 and imposes a = 1; backward a+ and
+        // forward a− the opposite.
+        let high = (polarity == Polarity::Rise) == (direction == StepDirection::Forward);
+        let sel = if high { mgr.nvar(v) } else { mgr.var(v) };
+        let r = mgr.cofactor_cube(moved, sel);
+        let lit = if high { mgr.var(v) } else { mgr.nvar(v) };
+        mgr.and(r, lit)
+    }
+}
 
 impl SymbolicStg<'_> {
+    /// The δ of transition `t`, detached from this context.
+    pub(crate) fn firing(&self, t: TransId) -> Firing {
+        let code = self.stg().label(t).map(|l| (self.signal_var(l.signal), l.polarity));
+        Firing { cubes: self.cubes(t).clone(), code }
+    }
+
     /// Forward image on the marking variables only: `δN(M, t)`.
     ///
     /// States where `t` is not enabled contribute nothing; states where a
@@ -31,12 +80,7 @@ impl SymbolicStg<'_> {
     /// dropped by the `NSM` cofactor — the safeness check reports those
     /// separately.
     pub fn image_marking(&self, m: Bdd, t: TransId) -> Bdd {
-        let c = self.cubes(t);
-        let mgr = self.manager();
-        let r = mgr.cofactor_cube(m, c.enabled);
-        let r = mgr.and(r, c.no_pred);
-        let r = mgr.cofactor_cube(r, c.no_succ);
-        mgr.and(r, c.all_succ)
+        self.firing(t).apply(&mut self.manager(), m, StepDirection::Forward, true)
     }
 
     /// Full forward image `δD(M, t)`: marking update plus the signal-code
@@ -46,125 +90,19 @@ impl SymbolicStg<'_> {
     /// with `a = 1`) are silently dropped by the code cofactor; the
     /// consistency check detects them before they would matter.
     pub fn image(&self, m: Bdd, t: TransId) -> Bdd {
-        let moved = self.image_marking(m, t);
-        let Some(label) = self.stg().label(t) else { return moved };
-        let v = self.signal_var(label.signal);
-        let mgr = self.manager();
-        match label.polarity {
-            Polarity::Rise => {
-                let sel = mgr.nvar(v);
-                let r = mgr.cofactor_cube(moved, sel);
-                let lit = mgr.var(v);
-                mgr.and(r, lit)
-            }
-            Polarity::Fall => {
-                let sel = mgr.var(v);
-                let r = mgr.cofactor_cube(moved, sel);
-                let lit = mgr.nvar(v);
-                mgr.and(r, lit)
-            }
-        }
-    }
-
-    /// Exclusive-mode [`SymbolicStg::image_marking`]: the same cofactor/
-    /// product pipeline routed through the `&mut BddManager` fast paths —
-    /// plain stores instead of atomic publication, `get_mut` instead of
-    /// lock acquisition. Identical results and memo entries.
-    pub fn image_marking_x(&mut self, m: Bdd, t: TransId) -> Bdd {
-        let c = self.cubes(t).clone();
-        let mgr = self.manager_mut();
-        let r = mgr.cofactor_cube_x(m, c.enabled);
-        let r = mgr.and_x(r, c.no_pred);
-        let r = mgr.cofactor_cube_x(r, c.no_succ);
-        mgr.and_x(r, c.all_succ)
-    }
-
-    /// Exclusive-mode [`SymbolicStg::image`].
-    pub fn image_x(&mut self, m: Bdd, t: TransId) -> Bdd {
-        let moved = self.image_marking_x(m, t);
-        let Some(label) = self.stg().label(t) else { return moved };
-        let v = self.signal_var(label.signal);
-        let mgr = self.manager_mut();
-        match label.polarity {
-            Polarity::Rise => {
-                let sel = mgr.nvar(v);
-                let r = mgr.cofactor_cube_x(moved, sel);
-                let lit = mgr.var(v);
-                mgr.and_x(r, lit)
-            }
-            Polarity::Fall => {
-                let sel = mgr.var(v);
-                let r = mgr.cofactor_cube_x(moved, sel);
-                let lit = mgr.nvar(v);
-                mgr.and_x(r, lit)
-            }
-        }
+        self.firing(t).apply(&mut self.manager(), m, StepDirection::Forward, false)
     }
 
     /// Backward image on the marking variables only: all markings from
     /// which firing `t` lands in `M`.
     pub fn preimage_marking(&self, m: Bdd, t: TransId) -> Bdd {
-        let c = self.cubes(t);
-        let mgr = self.manager();
-        let r = mgr.cofactor_cube(m, c.all_succ);
-        let r = mgr.and(r, c.no_succ);
-        let r = mgr.cofactor_cube(r, c.no_pred);
-        mgr.and(r, c.enabled)
+        self.firing(t).apply(&mut self.manager(), m, StepDirection::Backward, true)
     }
 
     /// Full backward image: all full states from which firing `t` lands in
     /// `M`.
     pub fn preimage(&self, m: Bdd, t: TransId) -> Bdd {
-        let moved = self.preimage_marking(m, t);
-        let Some(label) = self.stg().label(t) else { return moved };
-        let v = self.signal_var(label.signal);
-        let mgr = self.manager();
-        match label.polarity {
-            // Forward a+ sets a to 1, so backward selects a=1, restores 0.
-            Polarity::Rise => {
-                let sel = mgr.var(v);
-                let r = mgr.cofactor_cube(moved, sel);
-                let lit = mgr.nvar(v);
-                mgr.and(r, lit)
-            }
-            Polarity::Fall => {
-                let sel = mgr.nvar(v);
-                let r = mgr.cofactor_cube(moved, sel);
-                let lit = mgr.var(v);
-                mgr.and(r, lit)
-            }
-        }
-    }
-    /// Exclusive-mode [`SymbolicStg::preimage_marking`].
-    pub fn preimage_marking_x(&mut self, m: Bdd, t: TransId) -> Bdd {
-        let c = self.cubes(t).clone();
-        let mgr = self.manager_mut();
-        let r = mgr.cofactor_cube_x(m, c.all_succ);
-        let r = mgr.and_x(r, c.no_succ);
-        let r = mgr.cofactor_cube_x(r, c.no_pred);
-        mgr.and_x(r, c.enabled)
-    }
-
-    /// Exclusive-mode [`SymbolicStg::preimage`].
-    pub fn preimage_x(&mut self, m: Bdd, t: TransId) -> Bdd {
-        let moved = self.preimage_marking_x(m, t);
-        let Some(label) = self.stg().label(t) else { return moved };
-        let v = self.signal_var(label.signal);
-        let mgr = self.manager_mut();
-        match label.polarity {
-            Polarity::Rise => {
-                let sel = mgr.var(v);
-                let r = mgr.cofactor_cube_x(moved, sel);
-                let lit = mgr.nvar(v);
-                mgr.and_x(r, lit)
-            }
-            Polarity::Fall => {
-                let sel = mgr.nvar(v);
-                let r = mgr.cofactor_cube_x(moved, sel);
-                let lit = mgr.var(v);
-                mgr.and_x(r, lit)
-            }
-        }
+        self.firing(t).apply(&mut self.manager(), m, StepDirection::Backward, false)
     }
 }
 
@@ -315,7 +253,7 @@ mod tests {
                     let shared = sym.manager().substitute_cube(t.reached, select, reimpose);
                     assert_eq!(shared, pipeline, "{} t={}", stg.name(), stg.net().trans_name(tr));
                     let exclusive =
-                        sym.manager_mut().substitute_cube_x(t.reached, select, reimpose);
+                        Access::substitute_cube(sym.manager_mut(), t.reached, select, reimpose);
                     assert_eq!(exclusive, shared, "{} modes disagree", stg.name());
                 }
             }

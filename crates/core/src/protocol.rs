@@ -344,9 +344,9 @@ pub struct VerifyRequest {
 /// rejection response carrying the same text.
 pub fn parse_request(line: &str, defaults: &VerifyOptions) -> Result<Request, String> {
     let json = parse_json(line)?;
-    if !matches!(json, Json::Obj(_)) {
+    let Json::Obj(members) = &json else {
         return Err("request must be a JSON object".to_string());
-    }
+    };
     let op = match json.get("op") {
         None => {
             if json.get("net").is_some() || json.get("net_path").is_some() {
@@ -358,6 +358,15 @@ pub fn parse_request(line: &str, defaults: &VerifyOptions) -> Result<Request, St
         Some(Json::Str(s)) => s.as_str(),
         Some(_) => return Err("`op` must be a string".to_string()),
     };
+    let fields = match op {
+        "verify" => VERIFY_FIELDS,
+        "cancel" => &["op", "target"],
+        "ping" => &["op", "id"],
+        other => return Err(format!("unknown op `{other}` (expected verify, cancel or ping)")),
+    };
+    if let Some((key, _)) = members.iter().find(|(key, _)| !fields.contains(&key.as_str())) {
+        return Err(format!("unknown field `{key}` for op `{op}`"));
+    }
     match op {
         "verify" => parse_verify(&json, defaults).map(Request::Verify),
         "cancel" => {
@@ -371,9 +380,28 @@ pub fn parse_request(line: &str, defaults: &VerifyOptions) -> Result<Request, St
             let id = json.get("id").and_then(Json::as_str).map(str::to_string);
             Ok(Request::Ping { id })
         }
-        other => Err(format!("unknown op `{other}` (expected verify, cancel or ping)")),
+        _ => unreachable!("op validated above"),
     }
 }
+
+/// Every field a `verify` request may carry.
+const VERIFY_FIELDS: &[&str] = &[
+    "op",
+    "id",
+    "net",
+    "net_path",
+    "engine",
+    "reorder",
+    "sharing",
+    "order",
+    "jobs",
+    "bfs",
+    "arbitration",
+    "timeout_s",
+    "max_nodes",
+    "max_steps",
+    "fallback",
+];
 
 /// Reads an optional string field, `parse`s it into an options value.
 fn opt_parse<T: std::str::FromStr<Err = String>>(
@@ -437,7 +465,6 @@ fn parse_verify(json: &Json, defaults: &VerifyOptions) -> Result<VerifyRequest, 
     opt_parse(json, "engine", &mut options.engine.kind)?;
     opt_parse(json, "reorder", &mut options.reorder)?;
     opt_parse(json, "sharing", &mut options.engine.sharing)?;
-    opt_parse(json, "exec", &mut options.engine.exec)?;
     if let Some(v) = json.get("order") {
         let s = v.as_str().ok_or("`order` must be a string")?;
         options.order = match s {
@@ -544,6 +571,9 @@ mod tests {
             (r#"{"id":"a","net":"x","max_steps":1.5}"#, "non-negative integer"),
             (r#"{"op":"cancel"}"#, "needs a string `target`"),
             (r#"{"op":"frobnicate"}"#, "unknown op"),
+            (r#"{"id":"a","net_path":"x.g","engnie":"frob"}"#, "unknown field `engnie`"),
+            (r#"{"id":"a","net":"x","exec":"shared"}"#, "unknown field `exec`"),
+            (r#"{"op":"cancel","target":"a","id":"b"}"#, "unknown field `id` for op `cancel`"),
         ] {
             let err = parse_request(line, &d).expect_err(line);
             assert!(err.contains(needle), "`{line}` → `{err}` (wanted `{needle}`)");

@@ -12,9 +12,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stgcheck::bdd::{Bdd, BddManager, SerializedBdd, Var};
+use stgcheck::bdd::{Access, Bdd, BddManager, ResourceError, SerializedBdd, Var};
 use stgcheck::core::{
-    verify, EngineKind, EngineOptions, ExecMode, ReorderMode, SymbolicStg, VarOrder, VerifyOptions,
+    verify, EngineKind, EngineOptions, ReorderMode, SymbolicStg, VarOrder, VerifyOptions,
 };
 use stgcheck::stg::{gen, Stg};
 
@@ -34,6 +34,10 @@ enum Op {
     Forall(usize, u16),
     /// `and_exists(pool[i], pool[j], vars(mask))`
     AndExists(usize, usize, u16),
+    /// `cofactor_cube(pool[i], cube(mask, polarity))`
+    CofactorCube(usize, u16, u16),
+    /// `substitute_cube(pool[i], cube(mask, before), cube(mask, after))`
+    SubstituteCube(usize, u16, u16, u16),
 }
 
 const NVARS: usize = 12;
@@ -46,7 +50,7 @@ fn gen_script(seed: u64, len: usize) -> Vec<Op> {
     for pool in 2 * NVARS..2 * NVARS + len {
         let pick = |rng: &mut StdRng, pool: usize| rng.gen_range(0..pool);
         let mask = |rng: &mut StdRng| rng.gen_range(1u16..(1 << NVARS.min(16)) as u16);
-        let op = match rng.gen_range(0..9u32) {
+        let op = match rng.gen_range(0..11u32) {
             0 => Op::And(pick(&mut rng, pool), pick(&mut rng, pool)),
             1 => Op::Or(pick(&mut rng, pool), pick(&mut rng, pool)),
             2 => Op::Xor(pick(&mut rng, pool), pick(&mut rng, pool)),
@@ -55,38 +59,71 @@ fn gen_script(seed: u64, len: usize) -> Vec<Op> {
             5 => Op::Ite(pick(&mut rng, pool), pick(&mut rng, pool), pick(&mut rng, pool)),
             6 => Op::Exists(pick(&mut rng, pool), mask(&mut rng)),
             7 => Op::Forall(pick(&mut rng, pool), mask(&mut rng)),
-            _ => Op::AndExists(pick(&mut rng, pool), pick(&mut rng, pool), mask(&mut rng)),
+            8 => Op::AndExists(pick(&mut rng, pool), pick(&mut rng, pool), mask(&mut rng)),
+            9 => Op::CofactorCube(pick(&mut rng, pool), mask(&mut rng), mask(&mut rng)),
+            _ => Op::SubstituteCube(
+                pick(&mut rng, pool),
+                mask(&mut rng),
+                mask(&mut rng),
+                mask(&mut rng),
+            ),
         };
         script.push(op);
     }
     script
 }
 
-/// Runs a script against the manager through `&self` only — exactly what
-/// a shared-mode engine worker is allowed to do.
-fn run_script(m: &BddManager, vars: &[Var], script: &[Op], from: &[Bdd]) -> Vec<Bdd> {
-    let cube = |mask: u16| -> Bdd {
-        let vs: Vec<Var> = vars
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, &v)| v)
-            .collect();
-        m.vars_cube(&vs)
-    };
+/// The cube over the variables in `mask`, positive where `polarity` has
+/// a bit set, built deepest variable first (as `BddManager::cube` does).
+fn cube<A: Access>(m: &mut A, vars: &[Var], mask: u16, polarity: u16) -> Bdd {
+    let mut acc = Bdd::TRUE;
+    for (i, &v) in vars.iter().enumerate().rev().filter(|(i, _)| mask & (1 << i) != 0) {
+        let lit = if polarity & (1 << i) != 0 { m.var(v) } else { m.nvar(v) };
+        acc = m.and(lit, acc);
+    }
+    acc
+}
+
+/// Runs one scripted op in either manager mode.
+fn apply_op<A: Access>(m: &mut A, vars: &[Var], op: Op, pool: &[Bdd]) -> Bdd {
+    let all = u16::MAX;
+    match op {
+        Op::And(i, j) => m.and(pool[i], pool[j]),
+        Op::Or(i, j) => m.or(pool[i], pool[j]),
+        Op::Xor(i, j) => m.xor(pool[i], pool[j]),
+        Op::Diff(i, j) => m.diff(pool[i], pool[j]),
+        Op::Not(i) => pool[i].complement(),
+        Op::Ite(i, j, k) => m.ite(pool[i], pool[j], pool[k]),
+        Op::Exists(i, mask) => {
+            let c = cube(m, vars, mask, all);
+            m.exists(pool[i], c)
+        }
+        Op::Forall(i, mask) => {
+            let c = cube(m, vars, mask, all);
+            m.forall(pool[i], c)
+        }
+        Op::AndExists(i, j, mask) => {
+            let c = cube(m, vars, mask, all);
+            m.and_exists(pool[i], pool[j], c)
+        }
+        Op::CofactorCube(i, mask, polarity) => {
+            let c = cube(m, vars, mask, polarity);
+            m.cofactor_cube(pool[i], c)
+        }
+        Op::SubstituteCube(i, mask, before, after) => {
+            let before = cube(m, vars, mask, before);
+            let after = cube(m, vars, mask, after);
+            m.substitute_cube(pool[i], before, after)
+        }
+    }
+}
+
+/// Runs a script against the manager in either mode; `&mut &m` is
+/// exactly what a shared-mode engine worker is allowed to do.
+fn run_script<A: Access>(m: &mut A, vars: &[Var], script: &[Op], from: &[Bdd]) -> Vec<Bdd> {
     let mut pool: Vec<Bdd> = from.to_vec();
     for &op in script {
-        let r = match op {
-            Op::And(i, j) => m.and(pool[i], pool[j]),
-            Op::Or(i, j) => m.or(pool[i], pool[j]),
-            Op::Xor(i, j) => m.xor(pool[i], pool[j]),
-            Op::Diff(i, j) => m.diff(pool[i], pool[j]),
-            Op::Not(i) => m.not(pool[i]),
-            Op::Ite(i, j, k) => m.ite(pool[i], pool[j], pool[k]),
-            Op::Exists(i, mask) => m.exists(pool[i], cube(mask)),
-            Op::Forall(i, mask) => m.forall(pool[i], cube(mask)),
-            Op::AndExists(i, j, mask) => m.and_exists(pool[i], pool[j], cube(mask)),
-        };
+        let r = apply_op(m, vars, op, &pool);
         pool.push(r);
     }
     pool
@@ -122,7 +159,7 @@ fn threaded_random_ops_match_single_threaded_replay() {
             .iter()
             .map(|script| {
                 let (m, vars, seeds) = (&shared, &vars, &seeds);
-                scope.spawn(move || run_script(m, vars, script, seeds))
+                scope.spawn(move || run_script(&mut { m }, vars, script, seeds))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("stress worker panicked")).collect()
@@ -131,7 +168,7 @@ fn threaded_random_ops_match_single_threaded_replay() {
 
     let (mut replay, rvars, rseeds) = fresh_manager();
     for (script, shared_pool) in scripts.iter().zip(&shared_results) {
-        let replay_pool = run_script(&replay, &rvars, script, &rseeds);
+        let replay_pool = run_script(&mut &replay, &rvars, script, &rseeds);
         assert_eq!(
             snapshots(&shared, shared_pool),
             snapshots(&replay, &replay_pool),
@@ -154,7 +191,7 @@ fn racing_threads_agree_on_canonical_handles() {
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
                 let (m, vars, seeds, script) = (&shared, &vars, &seeds, &script);
-                scope.spawn(move || run_script(m, vars, script, seeds))
+                scope.spawn(move || run_script(&mut { m }, vars, script, seeds))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("stress worker panicked")).collect()
@@ -176,14 +213,14 @@ fn algebraic_identities_hold_under_contention() {
         for t in 0..2u64 {
             let (m, vars, seeds) = (&shared, &vars, &seeds);
             let script = gen_script(0xABAD1DEA + t, 600);
-            scope.spawn(move || run_script(m, vars, &script, seeds));
+            scope.spawn(move || run_script(&mut { m }, vars, &script, seeds));
         }
         // Checker threads verify identities on their own random functions.
         for t in 0..2u64 {
             let (m, vars, seeds) = (&shared, &vars, &seeds);
             scope.spawn(move || {
                 let script = gen_script(0x5EED + t, 300);
-                let pool = run_script(m, vars, &script, seeds);
+                let pool = run_script(&mut { m }, vars, &script, seeds);
                 let mut rng = StdRng::seed_from_u64(t);
                 for _ in 0..300 {
                     let f = pool[rng.gen_range(0..pool.len())];
@@ -230,7 +267,7 @@ fn quiesce_gc_between_concurrent_phases_preserves_functions() {
                 .zip(&pools)
                 .map(|(script, pool)| {
                     let (m, vars) = (&shared, &vars);
-                    scope.spawn(move || run_script(m, vars, script, pool))
+                    scope.spawn(move || run_script(&mut { m }, vars, script, pool))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("phase worker panicked")).collect()
@@ -249,7 +286,7 @@ fn quiesce_gc_between_concurrent_phases_preserves_functions() {
         rpools = phase_scripts
             .iter()
             .zip(&rpools)
-            .map(|(script, pool)| run_script(&replay, &rvars, script, pool))
+            .map(|(script, pool)| run_script(&mut &replay, &rvars, script, pool))
             .collect();
     }
     for (sp, rp) in pools.iter().zip(&rpools) {
@@ -269,8 +306,92 @@ fn quiesce_gc_between_concurrent_phases_preserves_functions() {
 }
 
 // ---------------------------------------------------------------------
-// Exclusive-mode fast path vs shared-mode atomic path.
+// Exclusive (`&mut BddManager`) vs shared (`&BddManager`) instantiation.
 // ---------------------------------------------------------------------
+
+/// One script, run shared on one manager and exclusive on a fresh twin:
+/// both instantiations of every generic body must walk the identical
+/// manager trajectory — same handles, same live and peak counts. Neither
+/// manager collects, so every slot ever claimed is still live and equal
+/// live counts mean equal arena lengths.
+#[test]
+fn shared_and_exclusive_scripts_build_identical_managers() {
+    for seed in 0..8u64 {
+        let script = gen_script(0xE5C1 + seed, 300);
+        let (mut shared, vars, seeds) = fresh_manager();
+        let (mut exclusive, xvars, xseeds) = fresh_manager();
+        let a = run_script(&mut &shared, &vars, &script, &seeds);
+        let b = run_script(&mut exclusive, &xvars, &script, &xseeds);
+        assert_eq!(a, b, "seed {seed}: the modes returned different handles");
+        assert_eq!(shared.live_nodes(), exclusive.live_nodes(), "seed {seed}: live nodes");
+        assert_eq!(shared.peak_live_nodes(), exclusive.peak_live_nodes(), "seed {seed}: peak");
+        assert_eq!(shared.stats().gc_runs + exclusive.stats().gc_runs, 0);
+        shared.check_invariants();
+        exclusive.check_invariants();
+    }
+}
+
+/// Both modes interleaved on one manager, op by op and alternating which
+/// runs first: the second run must find the first one's nodes and memo
+/// entries and return the same handle, and the whole run must match a
+/// twin manager that only ever ran shared.
+#[test]
+fn interleaved_modes_agree_on_one_manager_whichever_runs_first() {
+    let script = gen_script(0x1A7E, 400);
+    let (mut m, vars, seeds) = fresh_manager();
+    let (reference, rvars, rseeds) = fresh_manager();
+    let expected = run_script(&mut &reference, &rvars, &script, &rseeds);
+    let mut pool = seeds;
+    for (k, &op) in script.iter().enumerate() {
+        let (first, second) = if k % 2 == 0 {
+            let s = apply_op(&mut &m, &vars, op, &pool);
+            (s, apply_op(&mut m, &vars, op, &pool))
+        } else {
+            let x = apply_op(&mut m, &vars, op, &pool);
+            (x, apply_op(&mut &m, &vars, op, &pool))
+        };
+        assert_eq!(first, second, "op {k} ({op:?}): the second mode disagrees");
+        pool.push(first);
+    }
+    assert_eq!(pool, expected, "interleaving the modes changed a handle");
+    assert_eq!(m.live_nodes(), reference.live_nodes());
+    m.check_invariants();
+}
+
+/// After a budget trip both modes answer `FALSE` from every recursion
+/// without building a node, so nothing inert reaches the unique table.
+#[test]
+fn both_modes_stay_inert_after_a_budget_trip() {
+    // Fresh queries on distinct literals, with single-variable cubes (a
+    // multi-literal cube would itself be built by a tripped `and`). A
+    // negative literal is a regular handle, so the cofactor's inert FALSE
+    // is not complemented on the way out.
+    let n = NVARS;
+    let ops = [
+        Op::And(0, 1),
+        Op::Xor(2, 3),
+        Op::Ite(4, 5, 6),
+        Op::Exists(7, 1 << 7),
+        Op::AndExists(8, 9, 1 << 8),
+        Op::CofactorCube(n + 1, 1 << 1, 1 << 1),
+        Op::SubstituteCube(0, 1 << 1, 1 << 1, 0),
+    ];
+    for exclusive in [false, true] {
+        let (mut m, vars, seeds) = fresh_manager();
+        m.budget().trip(ResourceError::ArenaExhausted);
+        let live = m.live_nodes();
+        for op in ops {
+            let r = if exclusive {
+                apply_op(&mut m, &vars, op, &seeds)
+            } else {
+                apply_op(&mut &m, &vars, op, &seeds)
+            };
+            assert_eq!(r, Bdd::FALSE, "exclusive={exclusive}: {op:?} after a trip");
+        }
+        assert_eq!(m.live_nodes(), live, "exclusive={exclusive}: a tripped op built a node");
+        m.check_invariants();
+    }
+}
 
 fn mode_corpus() -> Vec<Stg> {
     vec![
@@ -290,48 +411,37 @@ const ALL_KINDS: [EngineKind; 4] = [
     EngineKind::Saturation,
 ];
 
-/// `--exec` is pure execution strategy: for every engine × reorder mode,
-/// a `jobs == 1` run on the exclusive (`&mut`, plain-store) fast path, a
-/// `jobs == 1` run pinned to the shared (atomic-publication) path, and a
-/// `jobs == 2` run must agree on every verdict and state count — and the
-/// two single-job runs, which execute the *identical* recursion sequence,
-/// must match on every BDD size column as well.
+/// End to end, for every engine × reorder mode: a `jobs == 1` run (every
+/// operation on the exclusive instantiation) and a `jobs == 2` run (the
+/// parallel engine's workers on the shared one) must agree on every
+/// verdict and state count.
 #[test]
 fn exclusive_and_shared_modes_agree_across_engines_and_reorders() {
     for stg in mode_corpus() {
         for kind in ALL_KINDS {
             for reorder in [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto] {
-                let with = |jobs: usize, exec: ExecMode| VerifyOptions {
-                    engine: EngineOptions { kind, jobs, exec, ..Default::default() },
+                let with = |jobs: usize| VerifyOptions {
+                    engine: EngineOptions { kind, jobs, ..Default::default() },
                     reorder,
                     ..VerifyOptions::default()
                 };
                 let ctx = format!("{}: {kind} + reorder {reorder}", stg.name());
-                // jobs == 1 resolves ExecMode::Auto to the exclusive path.
-                let excl = verify(&stg, with(1, ExecMode::Auto)).unwrap();
-                let shared = verify(&stg, with(1, ExecMode::Shared)).unwrap();
-                let multi = verify(&stg, with(2, ExecMode::Auto)).unwrap();
-                for (label, other) in [("shared", &shared), ("jobs=2", &multi)] {
-                    assert_eq!(excl.verdict, other.verdict, "{ctx}: {label} verdict");
-                    assert_eq!(excl.num_states, other.num_states, "{ctx}: {label} states");
-                    assert_eq!(excl.safe(), other.safe(), "{ctx}: {label} safety");
-                    assert_eq!(excl.consistent(), other.consistent(), "{ctx}: {label}");
-                    assert_eq!(excl.persistent(), other.persistent(), "{ctx}: {label}");
-                    assert_eq!(excl.csc_holds(), other.csc_holds(), "{ctx}: {label} CSC");
-                }
-                // Same engine, same jobs, same recursion order: the two
-                // paths must walk byte-identical manager trajectories.
-                assert_eq!(excl.bdd_peak, shared.bdd_peak, "{ctx}: peak diverged");
-                assert_eq!(excl.bdd_final, shared.bdd_final, "{ctx}: final size diverged");
-                assert_eq!(excl.sift_passes, shared.sift_passes, "{ctx}: sift passes diverged");
+                let excl = verify(&stg, with(1)).unwrap();
+                let multi = verify(&stg, with(2)).unwrap();
+                assert_eq!(excl.verdict, multi.verdict, "{ctx}: verdict");
+                assert_eq!(excl.num_states, multi.num_states, "{ctx}: states");
+                assert_eq!(excl.safe(), multi.safe(), "{ctx}: safety");
+                assert_eq!(excl.consistent(), multi.consistent(), "{ctx}");
+                assert_eq!(excl.persistent(), multi.persistent(), "{ctx}");
+                assert_eq!(excl.csc_holds(), multi.csc_holds(), "{ctx}: CSC");
             }
         }
     }
 }
 
-/// Canonicity across execution modes in ONE manager: running the same
-/// traversal once through the exclusive entry points and once through the
-/// shared ones must return the *identical* `Reached` handle — both paths
+/// Canonicity across the instantiations in ONE manager: a `jobs == 1`
+/// traversal (exclusive) and a `jobs == 2` one (shared workers for the
+/// parallel engine) must return the *identical* `Reached` handle — both
 /// feed the same unique table, so a single node difference would be a
 /// canonicity bug, not a perf quirk.
 #[test]
@@ -340,19 +450,16 @@ fn exclusive_mode_reaches_identical_handles() {
         let mut sym = SymbolicStg::new(&stg, VarOrder::Interleaved);
         let code = sym.effective_initial_code().unwrap();
         for kind in ALL_KINDS {
-            for jobs in [1usize, 2] {
-                let with =
-                    |exec: ExecMode| EngineOptions { kind, jobs, exec, ..EngineOptions::default() };
-                let e = sym.traverse_with_engine(code, &with(ExecMode::Exclusive));
-                let s = sym.traverse_with_engine(code, &with(ExecMode::Shared));
-                assert_eq!(
-                    e.reached,
-                    s.reached,
-                    "{}: {kind} jobs={jobs} exec modes returned different handles",
-                    stg.name()
-                );
-                assert_eq!(e.stats.num_states, s.stats.num_states);
-            }
+            let with = |jobs: usize| EngineOptions { kind, jobs, ..EngineOptions::default() };
+            let e = sym.traverse_with_engine(code, &with(1));
+            let s = sym.traverse_with_engine(code, &with(2));
+            assert_eq!(
+                e.reached,
+                s.reached,
+                "{}: {kind} jobs 1 and 2 returned different handles",
+                stg.name()
+            );
+            assert_eq!(e.stats.num_states, s.stats.num_states);
         }
     }
 }
@@ -390,13 +497,13 @@ fn generational_gc_tracks_the_full_mark_reference() {
                 .iter()
                 .map(|script| {
                     let (m, vars, from) = (&m1, &vars1, &from1);
-                    scope.spawn(move || run_script(m, vars, script, from))
+                    scope.spawn(move || run_script(&mut { m }, vars, script, from))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("gc stress worker panicked")).collect()
         });
         let results2: Vec<Vec<Bdd>> =
-            phase_scripts.iter().map(|s| run_script(&m2, &vars2, s, &from2)).collect();
+            phase_scripts.iter().map(|s| run_script(&mut &m2, &vars2, s, &from2)).collect();
 
         // Drop ~half of each thread's results; the literal seeds always
         // survive so later phases can keep indexing them.
