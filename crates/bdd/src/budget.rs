@@ -8,8 +8,8 @@
 //! operation:
 //!
 //! * the budget is installed on a [`crate::BddManager`]
-//!   ([`crate::BddManager::set_budget`]) and shared by `Arc`, so clones
-//!   handed to worker managers observe the same trip;
+//!   ([`crate::BddManager::set_budget`]) and shared by `Arc`, so the
+//!   manager and the fixpoint loop polling a clone observe the same trip;
 //! * hot paths poll with a bounded stride (`note_alloc` checks the cheap
 //!   counters on every node allocation and the expensive clock only every
 //!   [`POLL_STRIDE`] allocations), so even a single giant `and_exists`
@@ -133,7 +133,7 @@ struct BudgetInner {
 
 /// A shared, cheaply pollable resource budget. See the module docs for the
 /// trip-flag protocol. `Clone` shares the underlying state: a clone
-/// installed on a worker manager trips together with the original.
+/// installed on a manager trips together with the original.
 #[derive(Clone)]
 pub struct Budget {
     inner: Arc<BudgetInner>,
@@ -175,7 +175,8 @@ impl Budget {
     ) -> Self {
         Budget {
             inner: Arc::new(BudgetInner {
-                deadline: timeout.map(|d| Instant::now() + d),
+                // A deadline the clock cannot represent can never pass.
+                deadline: timeout.and_then(|d| Instant::now().checked_add(d)),
                 timeout: timeout.unwrap_or_default(),
                 max_nodes,
                 max_steps,
@@ -365,6 +366,13 @@ mod tests {
         b.cancel_flag().store(true, Ordering::Relaxed);
         assert!(r.check_coarse());
         assert_eq!(r.tripped(), Some(ResourceError::Cancelled));
+    }
+
+    #[test]
+    fn unrepresentable_deadline_is_no_deadline() {
+        let b = Budget::new(Some(Duration::MAX), 0, 0, None);
+        assert!(!b.check_coarse());
+        assert!(!b.is_tripped());
     }
 
     #[test]

@@ -40,8 +40,8 @@
 //!   [`BddManager::set_var_groups`]) and the automatic growth trigger
 //!   [`BddManager::reorder_due`] (see `docs/reordering.md`);
 //! * a compact serialised-BDD interchange ([`SerializedBdd`]) for moving
-//!   functions between managers with compatible orders — the frontier
-//!   exchange of `stgcheck-core`'s parallel sharded traversal engine;
+//!   functions between managers with compatible orders — the body of the
+//!   checkpoint format behind `stgcheck-core`'s resume and result cache;
 //! * a boolean-expression AST with a parser ([`BoolExpr`]) that serves as
 //!   reference semantics for the property tests.
 //!

@@ -170,7 +170,7 @@ pub struct BddManager {
     pub(crate) sift_runs: usize,
     pub(crate) sift_swaps: usize,
     /// The installed resource budget (unlimited by default). Shared with
-    /// worker managers by cloning; see `crate::budget` for the trip-flag
+    /// the fixpoint loop by cloning; see `crate::budget` for the trip-flag
     /// protocol.
     pub(crate) budget: Budget,
     /// Snapshot of `budget.is_limited()` taken at install time (budgets

@@ -1,9 +1,8 @@
 //! Compact serialised-BDD interchange between managers.
 //!
-//! The parallel sharded traversal engine gives every worker thread its own
-//! [`BddManager`]; frontiers cross thread boundaries as [`SerializedBdd`]
-//! values — a manager-independent, topologically ordered node list. Import
-//! is meaningful between managers that agree on the *level semantics*
+//! A [`SerializedBdd`] is a manager-independent, topologically ordered
+//! node list that moves a function from one [`BddManager`] to another.
+//! Import is meaningful between managers that agree on the *level semantics*
 //! (same variable at the same level), which holds by construction when the
 //! managers were populated by the same deterministic declaration sequence.
 //!
@@ -44,7 +43,7 @@ const FORMAT_VERSION: u32 = 2;
 
 /// Format version written by [`BddCheckpoint::to_bytes`]: the durable
 /// multi-root artifact with header and checksum. Sharing the version
-/// counter with the v2 worker-exchange stream means neither reader can
+/// counter with the v2 single-root stream means neither reader can
 /// misinterpret the other's bytes.
 const CHECKPOINT_VERSION: u32 = 3;
 
@@ -319,7 +318,7 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
 
 /// A durable, self-describing multi-root BDD artifact (format v3).
 ///
-/// Where [`SerializedBdd`] is a bare worker-exchange payload that trusts
+/// Where [`SerializedBdd`] is a bare single-root payload that trusts
 /// its environment, a checkpoint carries everything needed to validate a
 /// load against a *different process at a different time*: the content
 /// hash of the net it was computed from, the variable order by name

@@ -10,7 +10,7 @@
 //! cargo run --release -p stgcheck-bench --bin table1 [--explicit] \
 //!     [--order <strategy>] [--engine <engine>|all] [--jobs <n>] \
 //!     [--jobs-matrix <n,n,…>] [--repeat <n>] [--gc-growth <f>] \
-//!     [--sharing shared|private] [--reorder <mode>|all] [--from-dir <dir>] \
+//!     [--reorder <mode>|all] [--from-dir <dir>] \
 //!     [--json <path>] [--small]
 //! ```
 //!
@@ -22,11 +22,11 @@
 //! * `--engine per-transition|clustered|parallel|saturation|all` selects
 //!   the image engine (default: per-transition); `all` prints one row per
 //!   engine so the engines can be compared line by line;
-//! * `--jobs <n>` sets the worker count for the parallel engine — with the
-//!   default shared manager this now scales work against one BDD arena;
-//!   `0` (the default) auto-detects the machine's available parallelism,
-//!   and every row records the detected value as `jobs_detected`;
-//! * `--jobs-matrix <n,n,…>` (e.g. `1,2,4,8`) prints one row per jobs
+//! * `--jobs <n>` sets the worker count for the parallel engine, whose
+//!   workers share one concurrent BDD manager; `0` (the default)
+//!   auto-detects the machine's available parallelism, and every row
+//!   records the detected value as `jobs_detected`;
+//! * `--jobs-matrix <n,n,…>` (e.g. `1,2`) prints one row per jobs
 //!   value so single-thread exclusive-mode walls sit next to the
 //!   multi-worker scaling curve in one table; overrides `--jobs`;
 //! * `--repeat <n>` verifies every row `n` times and reports the median
@@ -36,8 +36,6 @@
 //! * `--gc-growth <f>` tunes the generational-GC trigger (collect when
 //!   live nodes exceed `f`× the post-collection baseline; default 1.5,
 //!   must be > 1.0);
-//! * `--sharing shared|private` selects whether parallel workers share the
-//!   one concurrent manager or keep private ones (default: shared);
 //! * `--reorder none|sift|auto|all` selects the dynamic variable
 //!   reordering mode (default: none; see `docs/reordering.md`); `all`
 //!   prints one row per mode so the static order and the sifted runs can
@@ -77,12 +75,12 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use stgcheck_bench::{quick_workloads, table1_workloads, workloads_from_dir};
 use stgcheck_core::{
     verify_persistent, CacheStatus, EngineKind, Outcome, PersistOptions, ProcessExit, ReorderMode,
-    ShardSharing, SymbolicReport, VarOrder, VerifyOptions,
+    SymbolicReport, VarOrder, VerifyOptions,
 };
 use stgcheck_stg::{build_state_graph, PersistencyPolicy, SgOptions};
 
@@ -293,12 +291,6 @@ fn main() {
         }
         g
     });
-    let sharing: ShardSharing = value_of("--sharing").map_or_else(ShardSharing::default, |v| {
-        v.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-    });
     let json_path: Option<PathBuf> = value_of("--json").map(PathBuf::from);
     let from_dir: Option<PathBuf> = value_of("--from-dir").map(PathBuf::from);
     let cache_dir: Option<PathBuf> = value_of("--cache-dir").map(PathBuf::from);
@@ -348,11 +340,13 @@ fn main() {
             eprintln!("--timeout needs a number of seconds, got `{v}`");
             std::process::exit(2);
         });
-        if !secs.is_finite() || secs <= 0.0 {
-            eprintln!("--timeout needs a positive number of seconds, got `{v}`");
+        let Some(timeout) = stgcheck_core::BudgetSpec::timeout_from_secs(secs) else {
+            eprintln!(
+                "--timeout needs a positive number of seconds within the clock's range, got `{v}`"
+            );
             std::process::exit(2);
-        }
-        budget.timeout = Some(Duration::from_secs_f64(secs));
+        };
+        budget.timeout = Some(timeout);
     }
     if let Some(v) = value_of("--max-nodes") {
         budget.max_nodes = v.parse().unwrap_or_else(|_| {
@@ -417,13 +411,7 @@ fn main() {
         |arbitration: bool, kind: EngineKind, reorder: ReorderMode, j: usize| VerifyOptions {
             order,
             policy: PersistencyPolicy { allow_arbitration: arbitration },
-            engine: stgcheck_core::EngineOptions {
-                kind,
-                jobs: j,
-                sharing,
-                gc_growth,
-                ..Default::default()
-            },
+            engine: stgcheck_core::EngineOptions { kind, jobs: j, gc_growth, ..Default::default() },
             reorder,
             budget,
         };

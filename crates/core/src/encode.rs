@@ -266,8 +266,7 @@ impl<'a> SymbolicStg<'a> {
         self.stg
     }
 
-    /// The ordering strategy this context was built under. The parallel
-    /// engine uses it to build level-compatible worker contexts.
+    /// The ordering strategy this context was built under.
     pub fn order(&self) -> VarOrder {
         self.order
     }
@@ -317,8 +316,8 @@ impl<'a> SymbolicStg<'a> {
     ///
     /// Every handle *not* in `extra` and not internal to the context is
     /// invalidated, exactly as by [`stgcheck_bdd::BddManager::reorder`].
-    /// Used by the parallel engine's workers to adopt the main manager's
-    /// order after it sifted — the serialised frontier interchange is
+    /// Used by [`SymbolicStg::import_checkpoint`] to line the levels up
+    /// with a checkpoint's stored order — the serialised form is
     /// level-based, so both sides must agree on the meaning of every
     /// level.
     pub fn apply_var_order(&mut self, order: &[Var], extra: &mut [Bdd]) {

@@ -18,16 +18,12 @@
 //!   by its *after* cube, so the memoisation cache is shared across the
 //!   cluster's overlapping supports;
 //! * [`EngineKind::ParallelSharded`] — transitions sharded across
-//!   `std::thread::scope` workers. In the default [`ShardSharing::Shared`]
-//!   mode every worker computes against **one** concurrent
-//!   [`stgcheck_bdd::BddManager`] (see `docs/concurrent-table.md`):
-//!   shard closures and frontier joins pass plain [`Bdd`] handles, and
-//!   between iterations the workers are joined so GC and `--reorder`
-//!   sifting run at a stop-the-world quiesce point. The
-//!   [`ShardSharing::Private`] compatibility mode keeps the original
-//!   design — per-worker managers exchanging frontiers as
-//!   [`SerializedBdd`] snapshots (the serialized form remains the wire
-//!   format; it just no longer sits on the default hot loop);
+//!   `std::thread::scope` workers that all compute against **one**
+//!   concurrent [`stgcheck_bdd::BddManager`] (see
+//!   `docs/concurrent-table.md`): shard closures and frontier joins pass
+//!   plain [`Bdd`] handles, and between iterations the workers are
+//!   joined so GC and `--reorder` sifting run at a stop-the-world
+//!   quiesce point;
 //! * [`EngineKind::Saturation`] — Ciardo-style saturation over the
 //!   clustered engine's grouping: every cluster gets a *home level* in
 //!   the variable order (the topmost level its support touches, so the
@@ -44,9 +40,8 @@
 //! benchmark family and on random STGs.
 
 use std::collections::BTreeSet;
-use std::sync::mpsc;
 
-use stgcheck_bdd::{Access, Bdd, BddManager, Budget, Literal, ResourceError, SerializedBdd, Var};
+use stgcheck_bdd::{Access, Bdd, BddManager, Budget, Literal, ResourceError, Var};
 use stgcheck_petri::TransId;
 
 use crate::encode::SymbolicStg;
@@ -54,7 +49,7 @@ use crate::image::Firing;
 use crate::traverse::TraversalStrategy;
 
 /// How many live nodes trigger a garbage collection between steps (shared
-/// by every engine and by the per-worker managers of the sharded engine).
+/// by every engine; the sharded engine collects between iterations).
 pub(crate) const GC_THRESHOLD: usize = 500_000;
 
 /// Selects the image engine that drives the fixed-point loops.
@@ -70,7 +65,7 @@ pub enum EngineKind {
     Clustered,
     /// Transitions sharded across worker threads; partial frontier
     /// closures are OR-joined per iteration. Workers share the one
-    /// concurrent manager by default ([`ShardSharing`]).
+    /// concurrent manager.
     ParallelSharded,
     /// Ciardo-style saturation over the clustered engine's grouping:
     /// each support-overlap cluster is assigned a *home level* (the
@@ -107,43 +102,6 @@ impl std::str::FromStr for EngineKind {
                 "unknown engine `{other}` (expected per-transition, clustered, parallel or \
                  saturation)"
             )),
-        }
-    }
-}
-
-/// How the [`EngineKind::ParallelSharded`] workers hold their BDD state.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum ShardSharing {
-    /// All workers operate on the *one* shared concurrent manager:
-    /// frontiers and shard closures are plain [`Bdd`] handles, no
-    /// export/import round trip, GC + sifting at a stop-the-world
-    /// quiesce point between iterations. The default.
-    #[default]
-    Shared,
-    /// The pre-concurrent design: each worker owns a private manager and
-    /// frontiers cross thread boundaries as [`SerializedBdd`] snapshots.
-    /// Kept as a differential baseline for the equivalence suite and as
-    /// the template for a future distributed (wire-format) backend.
-    Private,
-}
-
-impl std::fmt::Display for ShardSharing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ShardSharing::Shared => "shared",
-            ShardSharing::Private => "private",
-        })
-    }
-}
-
-impl std::str::FromStr for ShardSharing {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ShardSharing, String> {
-        match s {
-            "shared" | "one-manager" => Ok(ShardSharing::Shared),
-            "private" | "per-worker" => Ok(ShardSharing::Private),
-            other => Err(format!("unknown sharing mode `{other}` (expected shared or private)")),
         }
     }
 }
@@ -212,9 +170,6 @@ pub struct EngineOptions {
     /// Dynamic variable reordering policy, consulted between outer
     /// fixed-point iterations by every engine.
     pub reorder: ReorderMode,
-    /// Whether [`EngineKind::ParallelSharded`] workers share the one
-    /// concurrent manager (default) or own private managers.
-    pub sharing: ShardSharing,
     /// Growth factor of the amortized GC trigger
     /// ([`stgcheck_bdd::BddManager::gc_due`]): collect only once the
     /// live count has grown this many times past the previous
@@ -231,7 +186,6 @@ impl Default for EngineOptions {
             jobs: 0,
             max_cluster: 0,
             reorder: ReorderMode::default(),
-            sharing: ShardSharing::default(),
             gc_growth: 1.5,
         }
     }
@@ -286,8 +240,7 @@ pub(crate) struct FixpointSpec {
     /// manager during this loop. Must be `false` whenever the caller
     /// holds BDD handles that are not reachable from the permanent
     /// roots, the loop's live sets or `within` — [`stgcheck_bdd::BddManager::gc`]
-    /// dangles every unrooted handle. Worker managers of the sharded
-    /// engine always collect (no foreign handles live there).
+    /// dangles every unrooted handle.
     pub gc: bool,
 }
 
@@ -336,9 +289,6 @@ pub(crate) struct FixpointOutcome {
     pub iterations: usize,
     /// Strict-BFS rings when requested, empty otherwise.
     pub rings: Vec<Bdd>,
-    /// Highest per-worker peak of live BDD nodes (0 for the sequential
-    /// engines, whose peak shows up in the main manager).
-    pub shard_peak_nodes: usize,
     /// Whether the loop converged, was interrupted or ran out of budget.
     pub stop: FixpointStop,
 }
@@ -408,7 +358,7 @@ impl FixpointCtl {
     /// which case a final snapshot has been written unconditionally.
     ///
     /// An abort is routed through the budget's cancellation latch so
-    /// every layer sharing the budget — worker managers, in-flight
+    /// every layer sharing the budget — parallel workers, in-flight
     /// image recursions — stops cooperatively, exactly as an
     /// external cancel would.
     fn tick(
@@ -523,7 +473,6 @@ pub(crate) fn run_fixpoint(
             reached: init,
             iterations: ctl.resume.as_ref().map_or(0, |r| r.iterations),
             rings: Vec::new(),
-            shard_peak_nodes: 0,
             stop: match reason {
                 ResourceError::Cancelled => FixpointStop::Interrupted,
                 other => FixpointStop::Exhausted(other),
@@ -541,7 +490,7 @@ pub(crate) fn run_fixpoint(
 
 /// One δ application under the spec, confined to `within` when set.
 /// Generic over the manager access mode: the sequential engines run it
-/// on the manager they hold exclusively, the shared-manager workers on
+/// on the manager they hold exclusively, the parallel workers on
 /// `&BddManager`.
 fn apply_one<A: Access>(mgr: &mut A, spec: &FixpointSpec, firing: &Firing, set: Bdd) -> Bdd {
     let img = firing.apply(mgr, set, spec.direction, spec.marking_only);
@@ -656,13 +605,7 @@ fn run_per_transition(
         // makes `to` inert garbage whose diff is spuriously FALSE — the
         // loop must report exhaustion, never fake convergence.
         if let Some(stop) = ctl.budget_stop(sym, reached, from, iterations - 1) {
-            return FixpointOutcome {
-                reached,
-                iterations: iterations - 1,
-                rings,
-                shard_peak_nodes: 0,
-                stop,
-            };
+            return FixpointOutcome { reached, iterations: iterations - 1, rings, stop };
         }
         let new = sym.manager_mut().diff(to, reached);
         if new.is_false() {
@@ -676,22 +619,10 @@ fn run_per_transition(
         maybe_gc(sym, spec, &[reached, from], &rings, &[]);
         maybe_reorder(sym, opts, spec, &[reached, from], &rings, &[]);
         if ctl.tick(sym, reached, from, iterations) {
-            return FixpointOutcome {
-                reached,
-                iterations,
-                rings,
-                shard_peak_nodes: 0,
-                stop: FixpointStop::Interrupted,
-            };
+            return FixpointOutcome { reached, iterations, rings, stop: FixpointStop::Interrupted };
         }
     }
-    FixpointOutcome {
-        reached,
-        iterations,
-        rings,
-        shard_peak_nodes: 0,
-        stop: FixpointStop::Converged,
-    }
+    FixpointOutcome { reached, iterations, rings, stop: FixpointStop::Converged }
 }
 
 // ---------------------------------------------------------------------------
@@ -846,7 +777,6 @@ fn run_clustered(
                 reached,
                 iterations: iterations - 1,
                 rings: Vec::new(),
-                shard_peak_nodes: 0,
                 stop,
             };
         }
@@ -866,18 +796,11 @@ fn run_clustered(
                 reached,
                 iterations,
                 rings: Vec::new(),
-                shard_peak_nodes: 0,
                 stop: FixpointStop::Interrupted,
             };
         }
     }
-    FixpointOutcome {
-        reached,
-        iterations,
-        rings: Vec::new(),
-        shard_peak_nodes: 0,
-        stop: FixpointStop::Converged,
-    }
+    FixpointOutcome { reached, iterations, rings: Vec::new(), stop: FixpointStop::Converged }
 }
 
 // ---------------------------------------------------------------------------
@@ -995,13 +918,7 @@ fn run_saturation(
             reached = acc;
         }
         if let Some(stop) = ctl.budget_stop(sym, reached, reached, iterations) {
-            return FixpointOutcome {
-                reached,
-                iterations,
-                rings: Vec::new(),
-                shard_peak_nodes: 0,
-                stop,
-            };
+            return FixpointOutcome { reached, iterations, rings: Vec::new(), stop };
         }
         // The snapshot's frontier *is* the reached set here — saturation
         // resumes by re-saturating, not by frontier replay.
@@ -1010,7 +927,6 @@ fn run_saturation(
                 reached,
                 iterations,
                 rings: Vec::new(),
-                shard_peak_nodes: 0,
                 stop: FixpointStop::Interrupted,
             };
         }
@@ -1044,13 +960,7 @@ fn run_saturation(
             None => pos += 1,
         }
     }
-    FixpointOutcome {
-        reached,
-        iterations,
-        rings: Vec::new(),
-        shard_peak_nodes: 0,
-        stop: FixpointStop::Converged,
-    }
+    FixpointOutcome { reached, iterations, rings: Vec::new(), stop: FixpointStop::Converged }
 }
 
 // ---------------------------------------------------------------------------
@@ -1058,18 +968,10 @@ fn run_saturation(
 // ---------------------------------------------------------------------------
 
 /// A worker's local closure: everything reachable from `from` using
-/// only the shard's firings, chained. `collect` runs after every step
-/// with the sets still live: a private-manager worker collects garbage
-/// there, while the shared-manager workers pass a no-op — collection is
-/// a quiesce-point operation the coordinator runs between iterations,
+/// only the shard's firings, chained. Workers never collect: collection
+/// is a quiesce-point operation the coordinator runs between iterations,
 /// once the scoped workers have been joined.
-fn shard_closure<A: Access>(
-    mgr: &mut A,
-    spec: &FixpointSpec,
-    shard: &[Firing],
-    from: Bdd,
-    mut collect: impl FnMut(&mut A, &[Bdd]),
-) -> Bdd {
+fn shard_closure<A: Access>(mgr: &mut A, spec: &FixpointSpec, shard: &[Firing], from: Bdd) -> Bdd {
     let mut reached = from;
     let mut front = from;
     loop {
@@ -1077,7 +979,6 @@ fn shard_closure<A: Access>(
         for firing in shard {
             let img = apply_one(mgr, spec, firing, acc);
             acc = mgr.or(acc, img);
-            collect(mgr, &[reached, acc]);
         }
         let new = mgr.diff(acc, reached);
         if new.is_false() {
@@ -1085,25 +986,14 @@ fn shard_closure<A: Access>(
         }
         reached = mgr.or(reached, new);
         front = new;
-        collect(mgr, &[reached, front]);
     }
 }
 
 /// A shard below this many transitions cannot amortise the per-iteration
-/// export/broadcast/join round trip: run such fixpoints sequentially.
-/// Keeps the auxiliary loops (per-signal inference, frozen-input CSC
-/// checks, tiny nets) from paying thread setup for trivial work.
+/// spawn/join round trip: run such fixpoints sequentially. Keeps the
+/// auxiliary loops (per-signal inference, frozen-input CSC checks, tiny
+/// nets) from paying thread setup for trivial work.
 const MIN_SHARD_TRANSITIONS: usize = 4;
-
-/// One per-iteration command to a shard worker: the frontier to close
-/// over, and — when the main manager sifted since the last exchange —
-/// the new variable order the worker must adopt *before* importing it
-/// (the [`SerializedBdd`] interchange is level-based, so both sides must
-/// agree on what each level means).
-struct ShardCmd {
-    frontier: SerializedBdd,
-    order: Option<Vec<Var>>,
-}
 
 /// Splits `transitions` into `jobs` shards balanced by support size.
 ///
@@ -1138,6 +1028,22 @@ fn balance_shards(
     shards
 }
 
+/// The parallel engine: scoped workers share the one concurrent
+/// manager, so the per-iteration exchange is a handful of `Copy`
+/// handles.
+///
+/// Iteration protocol:
+///
+/// 1. **Fan out** — spawn one scoped worker per shard; each closes its
+///    shard over the current frontier through `&SymbolicStg`, racing
+///    freely on the lock-sharded unique table and lossy-atomic caches.
+/// 2. **Join** — OR the workers' closure handles into the next frontier
+///    (plain handle arithmetic; canonicity makes the result identical to
+///    what any sequential engine would produce).
+/// 3. **Quiesce** — with every worker joined, the coordinator holds the
+///    only reference, so `&mut` GC and `--reorder` sifting run exactly
+///    as in the sequential engines. In-place sifting preserves handles,
+///    so `reached`/`from` survive into the next fan-out unchanged.
 fn run_parallel(
     sym: &mut SymbolicStg<'_>,
     opts: &EngineOptions,
@@ -1157,39 +1063,6 @@ fn run_parallel(
         };
         return run_per_transition(sym, &seq, spec, transitions, init, ctl);
     }
-    match opts.sharing {
-        ShardSharing::Shared => run_parallel_shared(sym, opts, spec, transitions, init, jobs, ctl),
-        ShardSharing::Private => {
-            run_parallel_private(sym, opts, spec, transitions, init, jobs, ctl)
-        }
-    }
-}
-
-/// The default parallel engine: scoped workers share the one concurrent
-/// manager, so the per-iteration exchange is a handful of `Copy`
-/// handles.
-///
-/// Iteration protocol:
-///
-/// 1. **Fan out** — spawn one scoped worker per shard; each closes its
-///    shard over the current frontier through `&SymbolicStg`, racing
-///    freely on the lock-sharded unique table and lossy-atomic caches.
-/// 2. **Join** — OR the workers' closure handles into the next frontier
-///    (plain handle arithmetic; canonicity makes the result identical to
-///    what any sequential engine would produce).
-/// 3. **Quiesce** — with every worker joined, the coordinator holds the
-///    only reference, so `&mut` GC and `--reorder` sifting run exactly
-///    as in the sequential engines. In-place sifting preserves handles,
-///    so `reached`/`from` survive into the next fan-out unchanged.
-fn run_parallel_shared(
-    sym: &mut SymbolicStg<'_>,
-    opts: &EngineOptions,
-    spec: &FixpointSpec,
-    transitions: &[TransId],
-    init: Bdd,
-    jobs: usize,
-    ctl: &mut FixpointCtl,
-) -> FixpointOutcome {
     let shards: Vec<Vec<Firing>> = balance_shards(sym, transitions, jobs)
         .iter()
         .map(|shard| shard.iter().map(|&t| sym.firing(t)).collect())
@@ -1201,10 +1074,7 @@ fn run_parallel_shared(
         let parts: Vec<Bdd> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()
-                .map(|shard| {
-                    scope
-                        .spawn(move || shard_closure(&mut { shared }, spec, shard, from, |_, _| {}))
-                })
+                .map(|shard| scope.spawn(move || shard_closure(&mut { shared }, spec, shard, from)))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
         });
@@ -1218,7 +1088,6 @@ fn run_parallel_shared(
                 reached,
                 iterations: iterations - 1,
                 rings: Vec::new(),
-                shard_peak_nodes: 0,
                 stop,
             };
         }
@@ -1245,175 +1114,11 @@ fn run_parallel_shared(
                 reached,
                 iterations,
                 rings: Vec::new(),
-                shard_peak_nodes: 0,
                 stop: FixpointStop::Interrupted,
             };
         }
     }
-    // The shared peak is the main manager's peak; there is no separate
-    // worker column to report.
-    FixpointOutcome {
-        reached,
-        iterations,
-        rings: Vec::new(),
-        shard_peak_nodes: 0,
-        stop: FixpointStop::Converged,
-    }
-}
-
-/// The compatibility engine: private per-worker managers exchanging
-/// [`SerializedBdd`] frontiers — the original PR 2 design, retained as a
-/// differential baseline and as the shape a distributed backend would
-/// take (the serialized interchange is the wire format).
-fn run_parallel_private(
-    sym: &mut SymbolicStg<'_>,
-    opts: &EngineOptions,
-    spec: &FixpointSpec,
-    transitions: &[TransId],
-    init: Bdd,
-    jobs: usize,
-    ctl: &mut FixpointCtl,
-) -> FixpointOutcome {
-    let stg = sym.stg();
-    let order = sym.order();
-    // The main manager may already have been sifted away from the
-    // deterministic declaration order (e.g. by an earlier fixpoint of the
-    // same verification); fresh workers start from the declaration order,
-    // so hand them the current one to adopt first.
-    let start_order: Vec<Var> = sym.manager().order();
-    let within_ser = spec.within.map(|w| sym.manager().export_bdd(w));
-    let marking_only = spec.marking_only;
-    let direction = spec.direction;
-    // Workers share the loop's budget: a trip anywhere (a worker blowing
-    // the node ceiling, the coordinator passing the deadline) reaches
-    // every private manager at its next allocation poll.
-    let budget = ctl.budget.clone();
-    let gc_growth = opts.gc_growth;
-    std::thread::scope(|scope| {
-        let (res_tx, res_rx) = mpsc::channel::<(SerializedBdd, usize)>();
-        let mut cmd_txs: Vec<mpsc::Sender<ShardCmd>> = Vec::new();
-        for shard in balance_shards(sym, transitions, jobs) {
-            let (cmd_tx, cmd_rx) = mpsc::channel::<ShardCmd>();
-            cmd_txs.push(cmd_tx);
-            let res_tx = res_tx.clone();
-            let within_ser = within_ser.clone();
-            let start_order = start_order.clone();
-            let budget = budget.clone();
-            scope.spawn(move || {
-                // Each worker owns a full symbolic context; the
-                // deterministic declaration sequence plus the explicit
-                // order hand-off guarantees its variable levels line up
-                // with the main manager's, which is what makes the
-                // serialised interchange sound.
-                let mut w = SymbolicStg::new(stg, order);
-                w.manager_mut().set_budget(budget);
-                w.manager_mut().set_gc_growth(gc_growth);
-                if w.manager().order() != start_order {
-                    w.apply_var_order(&start_order, &mut []);
-                }
-                let mut within = within_ser.map(|s| w.manager_mut().import_bdd(&s));
-                while let Ok(cmd) = cmd_rx.recv() {
-                    if let Some(new_order) = cmd.order {
-                        match within {
-                            Some(ref mut wh) => {
-                                w.apply_var_order(&new_order, std::slice::from_mut(wh));
-                            }
-                            None => w.apply_var_order(&new_order, &mut []),
-                        }
-                    }
-                    let wspec = FixpointSpec {
-                        marking_only,
-                        direction,
-                        within,
-                        record_rings: false,
-                        gc: true,
-                    };
-                    let from = w.manager_mut().import_bdd(&cmd.frontier);
-                    // The worker owns its manager: it runs exclusive and
-                    // collects between steps like the sequential engines.
-                    let firings: Vec<Firing> = shard.iter().map(|&t| w.firing(t)).collect();
-                    let roots: Vec<Bdd> = w.permanent_roots().into_iter().chain(within).collect();
-                    let local =
-                        shard_closure(w.manager_mut(), &wspec, &firings, from, |m, live| {
-                            if m.gc_due(GC_THRESHOLD) {
-                                m.gc(&[&roots[..], live].concat());
-                            }
-                        });
-                    let out = w.manager().export_bdd(local);
-                    if res_tx.send((out, w.manager().peak_live_nodes())).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-        let (mut reached, mut from, mut iterations) = ctl.seed(sym, init);
-        let mut shard_peak = 0;
-        let mut sent_order = start_order;
-        loop {
-            iterations += 1;
-            let cur_order = sym.manager().order();
-            let order_msg = if cur_order != sent_order {
-                sent_order = cur_order.clone();
-                Some(cur_order)
-            } else {
-                None
-            };
-            let frontier = sym.manager().export_bdd(from);
-            for tx in &cmd_txs {
-                tx.send(ShardCmd { frontier: frontier.clone(), order: order_msg.clone() })
-                    .expect("worker alive");
-            }
-            let mut to = from;
-            for _ in 0..cmd_txs.len() {
-                let (ser, peak) = res_rx.recv().expect("worker result");
-                let part = sym.manager_mut().import_bdd(&ser);
-                to = sym.manager_mut().or(to, part);
-                shard_peak = shard_peak.max(peak);
-            }
-            // Pre-commit budget check (all worker results drained above,
-            // so the channel protocol stays in lockstep).
-            if let Some(stop) = ctl.budget_stop(sym, reached, from, iterations - 1) {
-                drop(cmd_txs); // workers see a closed channel and exit
-                return FixpointOutcome {
-                    reached,
-                    iterations: iterations - 1,
-                    rings: Vec::new(),
-                    shard_peak_nodes: shard_peak,
-                    stop,
-                };
-            }
-            let new = sym.manager_mut().diff(to, reached);
-            if new.is_false() {
-                break;
-            }
-            reached = sym.manager_mut().or(reached, new);
-            from = new;
-            maybe_gc(sym, spec, &[reached, from], &[], &[]);
-            // Sift the *main* manager only; the workers pick up the new
-            // level semantics from the order broadcast above on the next
-            // iteration.
-            maybe_reorder(sym, opts, spec, &[reached, from], &[], &[]);
-            if ctl.tick(sym, reached, from, iterations) {
-                drop(cmd_txs); // workers see a closed channel and exit
-                return FixpointOutcome {
-                    reached,
-                    iterations,
-                    rings: Vec::new(),
-                    shard_peak_nodes: shard_peak,
-                    stop: FixpointStop::Interrupted,
-                };
-            }
-        }
-        drop(cmd_txs); // workers see a closed channel and exit
-        FixpointOutcome {
-            reached,
-            iterations,
-            rings: Vec::new(),
-            shard_peak_nodes: shard_peak,
-            stop: FixpointStop::Converged,
-        }
-    })
+    FixpointOutcome { reached, iterations, rings: Vec::new(), stop: FixpointStop::Converged }
 }
 
 #[cfg(test)]

@@ -26,11 +26,10 @@
 //! `--max-nodes`, `--max-steps` and `--fallback` CLI flags.
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
 use crate::encode::VarOrder;
 use crate::traverse::TraversalStrategy;
-use crate::verify::VerifyOptions;
+use crate::verify::{BudgetSpec, VerifyOptions};
 
 /// A parsed JSON value — just enough of the data model for the protocol.
 #[derive(Clone, Debug, PartialEq)]
@@ -392,7 +391,6 @@ const VERIFY_FIELDS: &[&str] = &[
     "net_path",
     "engine",
     "reorder",
-    "sharing",
     "order",
     "jobs",
     "bfs",
@@ -464,7 +462,6 @@ fn parse_verify(json: &Json, defaults: &VerifyOptions) -> Result<VerifyRequest, 
     let mut options = *defaults;
     opt_parse(json, "engine", &mut options.engine.kind)?;
     opt_parse(json, "reorder", &mut options.reorder)?;
-    opt_parse(json, "sharing", &mut options.engine.sharing)?;
     if let Some(v) = json.get("order") {
         let s = v.as_str().ok_or("`order` must be a string")?;
         options.order = match s {
@@ -487,10 +484,10 @@ fn parse_verify(json: &Json, defaults: &VerifyOptions) -> Result<VerifyRequest, 
     }
     if let Some(v) = json.get("timeout_s") {
         let secs = v.as_num().ok_or("`timeout_s` must be a number")?;
-        if secs <= 0.0 {
-            return Err("`timeout_s` must be positive".to_string());
-        }
-        options.budget.timeout = Some(Duration::from_secs_f64(secs));
+        options.budget.timeout =
+            Some(BudgetSpec::timeout_from_secs(secs).ok_or(
+                "`timeout_s` must be a positive number of seconds within the clock's range",
+            )?);
     }
     if let Some(n) = opt_uint(json, "max_nodes")? {
         options.budget.max_nodes = n as usize;
@@ -506,6 +503,8 @@ fn parse_verify(json: &Json, defaults: &VerifyOptions) -> Result<VerifyRequest, 
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::engine::{EngineKind, ReorderMode};
 
@@ -568,11 +567,14 @@ mod tests {
             (r#"{"id":"a","op":"verify","net":"x","net_path":"y"}"#, "not both"),
             (r#"{"id":"a","net":"x","engine":"frob"}"#, "unknown engine"),
             (r#"{"id":"a","net":"x","timeout_s":-1}"#, "positive"),
+            (r#"{"id":"a","net":"x","timeout_s":1e300}"#, "positive number of seconds"),
+            (r#"{"id":"a","net":"x","timeout_s":1e19}"#, "positive number of seconds"),
             (r#"{"id":"a","net":"x","max_steps":1.5}"#, "non-negative integer"),
             (r#"{"op":"cancel"}"#, "needs a string `target`"),
             (r#"{"op":"frobnicate"}"#, "unknown op"),
             (r#"{"id":"a","net_path":"x.g","engnie":"frob"}"#, "unknown field `engnie`"),
             (r#"{"id":"a","net":"x","exec":"shared"}"#, "unknown field `exec`"),
+            (r#"{"id":"a","net":"x","sharing":"shared"}"#, "unknown field `sharing`"),
             (r#"{"op":"cancel","target":"a","id":"b"}"#, "unknown field `id` for op `cancel`"),
         ] {
             let err = parse_request(line, &d).expect_err(line);

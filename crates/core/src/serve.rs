@@ -584,7 +584,7 @@ impl Daemon {
             Ok(req) => req,
             Err(msg) => {
                 let id = best_effort_id(trimmed);
-                send_line(&sink, &render_refusal(id.as_deref(), "error", "bad_request", &msg));
+                self.answer_refusal(id.as_deref(), replay_seq, &sink, "error", "bad_request", &msg);
                 return;
             }
         };
@@ -616,24 +616,24 @@ impl Daemon {
         // Injected admission fault: the request is refused loudly — a
         // typed rejection the client can retry on — never half-admitted.
         if failpoint::hit("serve-accept") {
-            self.answer_refusal(&id, replay_seq, &sink, "rejected", "serve_accept_fault", "");
+            self.answer_refusal(Some(&id), replay_seq, &sink, "rejected", "serve_accept_fault", "");
             return;
         }
         if let Some(shed) = self.scheduler.would_shed() {
-            self.answer_refusal(&id, replay_seq, &sink, "rejected", shed.reason(), "");
+            self.answer_refusal(Some(&id), replay_seq, &sink, "rejected", shed.reason(), "");
             return;
         }
         {
             let pending = self.pending.lock().unwrap_or_else(|p| p.into_inner());
             if pending.contains_key(&id) {
-                send_line(
+                drop(pending);
+                self.answer_refusal(
+                    Some(&id),
+                    replay_seq,
                     &sink,
-                    &render_refusal(
-                        Some(&id),
-                        "error",
-                        "bad_request",
-                        "duplicate id: a request with this id is still in flight",
-                    ),
+                    "error",
+                    "bad_request",
+                    "duplicate id: a request with this id is still in flight",
                 );
                 return;
             }
@@ -641,7 +641,7 @@ impl Daemon {
         let stg = match load_net(&req) {
             Ok(stg) => stg,
             Err(msg) => {
-                self.answer_refusal(&id, replay_seq, &sink, "error", "bad_request", &msg);
+                self.answer_refusal(Some(&id), replay_seq, &sink, "error", "bad_request", &msg);
                 return;
             }
         };
@@ -708,23 +708,24 @@ impl Daemon {
             }
             Err(shed) => {
                 self.pending.lock().unwrap_or_else(|p| p.into_inner()).remove(&id);
-                self.answer_refusal(&id, replay_seq, &sink, "rejected", shed.reason(), "");
+                self.answer_refusal(Some(&id), replay_seq, &sink, "rejected", shed.reason(), "");
             }
         }
     }
 
     /// Sends a refusal and — so a refused replay is not replayed forever
-    /// — marks its journal record answered.
+    /// — marks its journal record answered. This covers a journaled line
+    /// that no longer parses (say, one naming a removed field).
     fn answer_refusal(
         &self,
-        id: &str,
+        id: Option<&str>,
         replay_seq: Option<u64>,
         sink: &Sink,
         status: &str,
         reason: &str,
         detail: &str,
     ) {
-        send_line(sink, &render_refusal(Some(id), status, reason, detail));
+        send_line(sink, &render_refusal(id, status, reason, detail));
         if let (Some(journal), Some(seq)) = (&self.journal, replay_seq) {
             let j = journal.lock().unwrap_or_else(|p| p.into_inner());
             let _ = j.record_answer(seq);

@@ -36,7 +36,7 @@ use stgcheck_stg::{
 use crate::consistency::ConsistencyViolation;
 use crate::csc::CscAnalysis;
 use crate::encode::{StateWitness, VarOrder};
-use crate::engine::{write_atomically, EngineKind, ReorderMode, ShardSharing};
+use crate::engine::{write_atomically, EngineKind, ReorderMode};
 use crate::persistency::{SymSignalViolation, SymTransViolation};
 use crate::safety::SafetyViolation;
 use crate::traverse::{TraversalStats, TraversalStrategy};
@@ -286,19 +286,12 @@ fn opts_tag(opts: &VerifyOptions) -> String {
         TraversalStrategy::Chained => "ch",
         TraversalStrategy::Bfs => "bf",
     };
-    let sharing = match engine.sharing {
-        ShardSharing::Shared => "ss",
-        ShardSharing::Private => "sv",
-    };
     let reorder = match engine.reorder {
         ReorderMode::None => "rn",
         ReorderMode::Sift => "rs",
         ReorderMode::Auto => "ra",
     };
-    format!(
-        "{order}-{policy}-{kind}-{strategy}-j{}-c{}-{sharing}-{reorder}",
-        engine.jobs, engine.max_cluster
-    )
+    format!("{order}-{policy}-{kind}-{strategy}-j{}-c{}-{reorder}", engine.jobs, engine.max_cluster)
 }
 
 /// File name of the `latest` pointer: sanitized net name plus the option
@@ -491,12 +484,17 @@ fn verdict_parse(s: &str) -> Option<Implementability> {
     }
 }
 
+/// First line of a stored report. Bumped whenever a line changes shape,
+/// so a record written by an older build reads as a cold miss.
+const REPORT_TAG: &str = "stgcheck-report-v2";
+
 /// Renders a report in the versioned line format. `f64` fields use
 /// Rust's shortest round-trip formatting, so loads are bit-exact.
 pub(crate) fn report_to_text(r: &SymbolicReport) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    out.push_str("stgcheck-report-v1\n");
+    out.push_str(REPORT_TAG);
+    out.push('\n');
     let _ = writeln!(out, "name {}", enc(&r.name));
     let _ = writeln!(out, "engine {}", enc(&r.engine));
     let _ = writeln!(out, "dims {} {}", r.places, r.signals);
@@ -506,14 +504,8 @@ pub(crate) fn report_to_text(r: &SymbolicReport) -> String {
     let t = &r.traversal;
     let _ = writeln!(
         out,
-        "trav {} {} {} {} {} {} {}",
-        t.iterations,
-        t.peak_nodes,
-        t.worker_peak_nodes,
-        t.final_nodes,
-        t.sift_passes,
-        t.num_states,
-        t.seconds
+        "trav {} {} {} {} {} {}",
+        t.iterations, t.peak_nodes, t.final_nodes, t.sift_passes, t.num_states, t.seconds
     );
     let _ = writeln!(out, "code {}", r.initial_code.0);
     let _ = writeln!(out, "deadlock {}", opt_wit_str(&r.deadlock));
@@ -592,7 +584,7 @@ pub(crate) fn report_to_text(r: &SymbolicReport) -> String {
 /// rebuild the real set in.
 pub(crate) fn report_from_text(text: &str) -> Option<SymbolicReport> {
     let mut lines = text.lines();
-    if lines.next()? != "stgcheck-report-v1" {
+    if lines.next()? != REPORT_TAG {
         return None;
     }
     let mut name = None;
@@ -635,11 +627,10 @@ pub(crate) fn report_from_text(text: &str) -> Option<SymbolicReport> {
             ("gc", [a, b, c]) => {
                 gc = (a.parse().ok()?, b.parse().ok()?, c.parse().ok()?);
             }
-            ("trav", [a, b, c, d, e, f, g]) => {
+            ("trav", [a, b, d, e, f, g]) => {
                 trav = Some(TraversalStats {
                     iterations: a.parse().ok()?,
                     peak_nodes: b.parse().ok()?,
-                    worker_peak_nodes: c.parse().ok()?,
                     final_nodes: d.parse().ok()?,
                     sift_passes: e.parse().ok()?,
                     num_states: f.parse().ok()?,
@@ -788,8 +779,32 @@ mod tests {
         }
         // Unknown tags, bad version and trailing junk are misses.
         assert!(report_from_text(&text.replace("verdict", "verdikt")).is_none());
-        assert!(report_from_text(&text.replace("report-v1", "report-v9")).is_none());
+        assert!(report_from_text(&text.replace("report-v2", "report-v9")).is_none());
         assert!(report_from_text(&format!("{text}junk\n")).is_none());
+    }
+
+    /// A v1 record (its `trav` line carried a worker-peak column) reads
+    /// as a cold miss, under either tag.
+    #[test]
+    fn v1_reports_are_misses() {
+        let report = crate::verify(&gen::muller_pipeline(3), VerifyOptions::default()).unwrap();
+        let text = report_to_text(&report);
+        let v1: String = text
+            .lines()
+            .map(|line| match line.split_once(' ') {
+                Some(("trav", rest)) => {
+                    let (iterations, rest) = rest.split_once(' ').unwrap();
+                    let (peak, rest) = rest.split_once(' ').unwrap();
+                    format!("trav {iterations} {peak} 0 {rest}\n")
+                }
+                _ if line == REPORT_TAG => "stgcheck-report-v1\n".to_string(),
+                _ => format!("{line}\n"),
+            })
+            .collect();
+        assert!(v1.starts_with("stgcheck-report-v1\n"));
+        assert!(report_from_text(&v1).is_none());
+        assert!(report_from_text(&v1.replace("report-v1", "report-v2")).is_none());
+        assert!(report_from_text(&text.replace("report-v2", "report-v1")).is_none());
     }
 
     #[test]

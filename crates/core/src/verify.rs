@@ -45,8 +45,8 @@ pub struct BudgetSpec {
     /// unlimited. The deadline is absolute: a `--fallback` retry runs
     /// against the remainder, not a fresh allowance.
     pub timeout: Option<Duration>,
-    /// Live-node ceiling across all managers sharing the budget
-    /// (`--max-nodes`); `0` means unlimited.
+    /// Live-node ceiling of the run's manager (`--max-nodes`); `0` means
+    /// unlimited.
     pub max_nodes: usize,
     /// Deterministic node-allocation-step ceiling (`--max-steps`); `0`
     /// means unlimited. Steps count *allocations*, a machine-independent
@@ -61,6 +61,15 @@ pub struct BudgetSpec {
 }
 
 impl BudgetSpec {
+    /// Converts a timeout given in seconds into a [`BudgetSpec::timeout`]:
+    /// `None` unless `secs` is positive and its deadline is representable
+    /// by the clock, so NaN, infinities and values such as `1e300` or
+    /// `1e19` are refused instead of overflowing.
+    pub fn timeout_from_secs(secs: f64) -> Option<Duration> {
+        let timeout = Duration::try_from_secs_f64(secs).ok().filter(|_| secs > 0.0)?;
+        Instant::now().checked_add(timeout).map(|_| timeout)
+    }
+
     /// Builds the shared runtime budget, wiring in the caller's cancel
     /// flag when given.
     pub(crate) fn build(&self, cancel: Option<Arc<AtomicBool>>) -> Budget {

@@ -11,12 +11,9 @@
 //!                        (default: per-transition; see
 //!                        docs/traversal-engines.md)
 //!   --jobs <n>           worker threads for --engine parallel (default:
-//!                        available parallelism); with the default shared
-//!                        manager the workers race on one BDD arena, so
-//!                        --jobs scales real work instead of copies
-//!   --sharing <m>        shared|private — whether parallel workers share
-//!                        the one concurrent BDD manager (default: shared;
-//!                        see docs/concurrent-table.md)
+//!                        available parallelism); the workers race on one
+//!                        concurrent BDD manager (see
+//!                        docs/concurrent-table.md)
 //!   --reorder <m>        none|sift|auto — dynamic variable reordering
 //!                        (in-place sifting; see docs/reordering.md)
 //!   --gc-growth <f>      garbage-collect when live nodes exceed f times
@@ -86,11 +83,10 @@
 //! drain and 3 after a SIGTERM/SIGINT drain.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use stgcheck::core::{
-    failpoint, run_daemon, verify_persistent, Outcome, PersistOptions, ProcessExit, ServeOptions,
-    SymbolicReport, TraversalStrategy, VarOrder, VerifyOptions,
+    failpoint, run_daemon, verify_persistent, BudgetSpec, Outcome, PersistOptions, ProcessExit,
+    ServeOptions, SymbolicReport, TraversalStrategy, VarOrder, VerifyOptions,
 };
 use stgcheck::stg::{parse_g, Implementability, PersistencyPolicy};
 
@@ -178,7 +174,7 @@ struct Cli {
 fn usage() -> &'static str {
     "usage: stgcheck [--arbitration] [--order interleaved|places|signals|declaration] \
      [--engine per-transition|clustered|parallel|saturation] [--jobs N] \
-     [--sharing shared|private] [--gc-growth F] \
+     [--gc-growth F] \
      [--reorder none|sift|auto] [--bfs] [--quiet] \
      [--timeout SECS] [--max-nodes N] [--max-steps N] [--fallback] \
      [--failpoints SPEC] \
@@ -282,10 +278,6 @@ fn parse_verify_flag(
             options.engine.jobs =
                 v.parse().map_err(|_| format!("--jobs needs a number, got `{v}`"))?;
         }
-        "--sharing" => {
-            let v = it.next().ok_or("--sharing needs a value")?;
-            options.engine.sharing = v.parse()?;
-        }
         "--gc-growth" => {
             let v = it.next().ok_or("--gc-growth needs a value")?;
             let growth: f64 =
@@ -301,10 +293,13 @@ fn parse_verify_flag(
             let v = it.next().ok_or("--timeout needs a value in seconds")?;
             let secs: f64 =
                 v.parse().map_err(|_| format!("--timeout needs a number of seconds, got `{v}`"))?;
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err(format!("--timeout needs a positive number of seconds, got `{v}`"));
-            }
-            options.budget.timeout = Some(Duration::from_secs_f64(secs));
+            options.budget.timeout =
+                Some(BudgetSpec::timeout_from_secs(secs).ok_or_else(|| {
+                    format!(
+                        "--timeout needs a positive number of seconds within the clock's range, \
+                         got `{v}`"
+                    )
+                })?);
         }
         "--max-nodes" => {
             let v = it.next().ok_or("--max-nodes needs a value")?;

@@ -204,6 +204,10 @@ fn bad_budget_and_failpoint_specs_exit_2() {
     for args in [
         vec!["--timeout", "bogus"],
         vec!["--timeout", "-1"],
+        // Beyond what `Duration` or a clock deadline can hold: refused,
+        // not a panic.
+        vec!["--timeout", "1e20"],
+        vec!["--timeout", "1e300"],
         vec!["--max-nodes", "many"],
         vec!["--max-steps", "few"],
         vec!["--failpoints", "no-such-point"],

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use stgcheck::core::journal::Journal;
+use stgcheck::core::journal::{self, Journal};
 use stgcheck::core::protocol::{parse_json, Json};
 use stgcheck::stg::{gen, write_g};
 
@@ -388,6 +388,37 @@ fn recover_tolerates_unreadable_records() {
     let j1 = serve.read_response();
     assert_eq!(str_field(&j1, "id"), "j1", "{j1:?}");
     assert_eq!(str_field(&j1, "verdict"), "gate-implementable");
+    assert_eq!(serve.finish(), 0);
+}
+
+/// A journaled request that no longer parses (here: one carrying a field
+/// the protocol has since dropped) is refused once and marked answered,
+/// so it does not replay again on every `--recover`.
+#[test]
+fn recover_answers_unparsable_records_once() {
+    let dir = scratch("stale");
+    let journal_dir = dir.join("journal");
+    let handshake = data("handshake.g");
+    let mut journal = Journal::open(&journal_dir).unwrap();
+    journal
+        .record_accept(
+            "old",
+            &format!(r#"{{"id":"old","net_path":"{handshake}","sharing":"private"}}"#),
+        )
+        .unwrap();
+    assert_eq!(journal::unanswered(&journal_dir).0.len(), 1);
+
+    let mut serve = Serve::spawn(&["--journal", journal_dir.to_str().unwrap(), "--recover"]);
+    let old = serve.read_response();
+    assert_eq!(str_field(&old, "id"), "old", "{old:?}");
+    assert_eq!(str_field(&old, "reason"), "bad_request", "{old:?}");
+    assert!(str_field(&old, "error").contains("sharing"), "{old:?}");
+    // Replays are handled before new traffic, so once the ping is
+    // answered the replay's answer mark is on disk.
+    serve.send(r#"{"op":"ping","id":"p"}"#);
+    assert_eq!(str_field(&serve.read_response(), "op"), "ping");
+    let (replay, notes) = journal::unanswered(&journal_dir);
+    assert!(replay.is_empty() && notes.is_empty(), "{replay:?} {notes:?}");
     assert_eq!(serve.finish(), 0);
 }
 
